@@ -1,6 +1,6 @@
 """Event studies of asset prices around dated releases."""
 
-from .design import DesignMatrix, Estimator, StudySpec, build_design
+from .design import DesignMatrix, StudySpec, build_design
 from .errors import (
     CalendarError,
     ConfigError,

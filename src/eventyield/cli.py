@@ -3,16 +3,16 @@ tables, generate synthetic data, and validate configs."""
 
 from __future__ import annotations
 
-import sys
-from datetime import date
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import report
 from .errors import EventYieldError
-from .events import Event, EventSet, GroupAssignment, Openness, split_by_openness
-from .report import StudyConfig, load_config, run_study
+from .events import Event, EventSet, Openness, split_by_openness
+from .permutation import ESTIMATORS
+from .report import PermutationConfig, StudyConfig, load_config, run_study
 from .synth import SynthSpec, generate_walk, inject_effects
 
 
@@ -26,27 +26,14 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
         raise click.BadParameter("expected <first>..<last>, e.g. 2023..2024")
 
 
-def _apply_overrides(cfg: StudyConfig, **kw) -> StudyConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if kw.get("window") is not None:
-        updates["window"] = kw["window"]
-    if kw.get("hac_lags") is not None:
-        updates["hac_lags"] = kw["hac_lags"]
-    if kw.get("estimator") is not None:
-        updates["estimator"] = kw["estimator"]
-    if kw.get("years") is not None:
-        updates["years"] = kw["years"]
-    perm = cfg.permutation
-    if kw.get("seed") is not None or kw.get("replications") is not None:
-        perm = report.PermutationConfig(
-            replications=kw.get("replications") or (perm.replications if perm else 5000),
-            seed=kw.get("seed") if kw.get("seed") is not None else (perm.seed if perm else 0),
-            statistic=perm.statistic if perm else "ols",
-        )
-        updates["permutation"] = perm
-    return replace(cfg, **updates) if updates else cfg
+def _apply_overrides(cfg: StudyConfig, seed, replications, **kw) -> StudyConfig:
+    """Replace the config values given on the command line; a seed or a
+    replication count switches placebo bands on."""
+    updates = {k: v for k, v in kw.items() if v is not None}
+    perm = {k: v for k, v in (("seed", seed), ("replications", replications)) if v is not None}
+    if perm:
+        updates["permutation"] = replace(cfg.permutation or PermutationConfig(), **perm)
+    return replace(cfg, **updates)
 
 
 @click.group()
@@ -62,7 +49,7 @@ def main():
 @click.option("--hac-lags", type=int, default=None)
 @click.option("--replications", type=int, default=None)
 @click.option("--years", default=None, help="Restrict events, e.g. 2023..2024.")
-@click.option("--estimator", type=click.Choice(["ols", "lad", "median"]), default=None)
+@click.option("--estimator", type=click.Choice(ESTIMATORS), default=None)
 def run(config_path, seed, window, hac_lags, replications, years, estimator):
     """Run the full study described by the config file."""
     try:
@@ -87,35 +74,20 @@ def run(config_path, seed, window, hac_lags, replications, years, estimator):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=0)
 @click.option("--replications", type=int, default=5000)
-@click.option("--statistic", type=click.Choice(["ols", "lad", "median"]), default="ols")
+@click.option("--statistic", type=click.Choice(ESTIMATORS), default="ols")
 @click.option("--years", default=None)
 def permute(config_path, seed, replications, statistic, years):
     """Compute placebo permutation bands only."""
-    from dataclasses import replace
-
     try:
         cfg = load_config(config_path)
         cfg = replace(
             cfg,
             years=_parse_years(years) or cfg.years,
-            permutation=report.PermutationConfig(
+            permutation=PermutationConfig(
                 replications=replications, seed=seed, statistic=statistic
             ),
         )
-        with open(cfg.events_path, encoding="utf-8") as fh:
-            events = report.parse_event_table(fh.read())
-        if cfg.years:
-            events = events.filter_years(*cfg.years)
-        groups = report.resolve_split(events, cfg.split)
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for asset in cfg.assets:
-            series = report.load_asset(asset)
-            scale = report._scale_for(series)
-            written.extend(
-                report._run_permutation(series, groups, cfg, asset, out_dir, scale)
-            )
+        written = report.run_permutation(cfg)
     except EventYieldError as exc:
         raise click.ClickException(str(exc))
     for p in written:
@@ -190,9 +162,7 @@ def validate(config_path):
     """Parse the config and every referenced file; report problems."""
     try:
         cfg = load_config(config_path)
-        with open(cfg.events_path, encoding="utf-8") as fh:
-            events = report.parse_event_table(fh.read())
-        report.resolve_split(events, cfg.split)
+        events, _ = report.load_events(cfg)
         for asset in cfg.assets:
             report.load_asset(asset)
     except EventYieldError as exc:

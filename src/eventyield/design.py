@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from enum import Enum
 
 import numpy as np
 
@@ -21,19 +20,13 @@ from .series import ReturnSeries, relative_day_index
 RANK_TOL = 1e-10
 
 
-class Estimator(Enum):
-    OLS = "ols"
-    LAD = "lad"
-
-
 @dataclass(frozen=True)
 class StudySpec:
     """Event-study settings: window half-width W, event groups (one pooled
-    set or a two-group assignment), estimator, and HAC lag length."""
+    set or a two-group assignment), and HAC lag length."""
 
     window: int
     groups: GroupAssignment | EventSet
-    estimator: Estimator = Estimator.OLS
     hac_lags: int = 30
 
     def __post_init__(self):

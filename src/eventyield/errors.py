@@ -32,7 +32,7 @@ class DesignError(EventYieldError):
 
 
 class EstimationError(EventYieldError):
-    """Estimator failure: rank deficiency, solver non-convergence."""
+    """Estimation failure: rank deficiency, solver non-convergence."""
 
 
 class PermutationError(EventYieldError):

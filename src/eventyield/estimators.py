@@ -160,6 +160,12 @@ def _path_estimates(fit: RegressionFit, group: str | None, contrast: bool) -> np
     return est - daily[0]
 
 
+def _path_label(design: DesignMatrix, group: str | None, contrast: bool) -> str:
+    if contrast:
+        return f"{design.group_labels[0]} - {design.group_labels[1]}"
+    return group if group is not None else design.group_labels[0]
+
+
 def cumulative_path(
     fit: RegressionFit,
     cov: HacCovariance,
@@ -180,12 +186,8 @@ def cumulative_path(
         e = _selector(design, r, group, contrast)
         ses[i] = np.sqrt(max(float(e @ cov.matrix @ e), 0.0))
     pvalues = _two_sided_p(est, ses)
-    if contrast:
-        label = f"{design.group_labels[0]} - {design.group_labels[1]}"
-    else:
-        label = group if group is not None else design.group_labels[0]
     return CumulativePath(
-        label=label,
+        label=_path_label(design, group, contrast),
         rel_days=np.arange(-w, w + 1),
         estimates=est,
         ses=ses,
@@ -213,12 +215,10 @@ def accumulate_lad_path(
         raise EstimationError("accumulate_lad_path requires a LAD fit")
     design = fit.design
     est = _path_estimates(fit, group, contrast)
-    if contrast:
-        label = f"{design.group_labels[0]} - {design.group_labels[1]}"
-    else:
-        label = group if group is not None else design.group_labels[0]
     return CumulativePath(
-        label=label, rel_days=np.arange(-design.window, design.window + 1), estimates=est
+        label=_path_label(design, group, contrast),
+        rel_days=np.arange(-design.window, design.window + 1),
+        estimates=est,
     )
 
 

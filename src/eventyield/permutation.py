@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import Estimator, StudySpec, build_design
+from .design import StudySpec, build_design
 from .errors import PermutationError
 from .estimators import (
     Z90,
@@ -53,6 +53,10 @@ class Statistic(Enum):
             Statistic.OLS_DIFFERENCE,
             Statistic.LAD_DIFFERENCE,
         )
+
+
+# Names of the path statistics, which are also the study estimators.
+ESTIMATORS = tuple(s.value for s in Statistic if not s.is_difference)
 
 
 @dataclass(frozen=True)
@@ -132,32 +136,51 @@ def _eligible_pool(calendar, w: int) -> list[date]:
     return list(calendar.dates[w : n - w])
 
 
-def _group_statistic(
-    series: PriceSeries, returns: ReturnSeries, events: EventSet, spec: PermutationSpec
+def _statistic(
+    series: PriceSeries,
+    returns: ReturnSeries,
+    groups: EventSet | GroupAssignment,
+    spec: PermutationSpec,
 ) -> np.ndarray:
-    if spec.statistic is Statistic.MEDIAN_PATH:
-        return median_change(series, events, spec.window).estimates
-    estimator = Estimator.LAD if spec.statistic is Statistic.LAD_PATH else Estimator.OLS
-    design = build_design(returns, StudySpec(spec.window, events, estimator))
-    fit = fit_lad(design) if estimator is Estimator.LAD else fit_ols(design)
-    return _path_estimates(fit, None, contrast=False)
-
-
-def _difference_statistic(
-    series: PriceSeries, returns: ReturnSeries, groups: GroupAssignment, spec: PermutationSpec
-) -> np.ndarray:
-    if spec.statistic is Statistic.MEDIAN_DIFFERENCE:
-        a = median_change(series, groups.group_a, spec.window).estimates
-        b = median_change(series, groups.group_b, spec.window).estimates
-        return a - b
-    estimator = Estimator.LAD if spec.statistic is Statistic.LAD_DIFFERENCE else Estimator.OLS
-    design = build_design(returns, StudySpec(spec.window, groups, estimator))
-    fit = fit_lad(design) if estimator is Estimator.LAD else fit_ols(design)
-    return _path_estimates(fit, None, contrast=True)
+    """Path of ``spec.statistic`` for one event set, or for a difference
+    statistic the first group's path minus the second's."""
+    statistic = spec.statistic
+    if not statistic.uses_regression:
+        if statistic.is_difference:
+            a = median_change(series, groups.group_a, spec.window).estimates
+            b = median_change(series, groups.group_b, spec.window).estimates
+            return a - b
+        return median_change(series, groups, spec.window).estimates
+    design = build_design(returns, StudySpec(spec.window, groups))
+    lad = statistic in (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE)
+    fit = fit_lad(design) if lad else fit_ols(design)
+    return _path_estimates(fit, None, contrast=statistic.is_difference)
 
 
 def _calendar_for(series: PriceSeries, returns: ReturnSeries, spec: PermutationSpec):
-    return series.calendar if spec.statistic is Statistic.MEDIAN_PATH or spec.statistic is Statistic.MEDIAN_DIFFERENCE else returns.calendar
+    return returns.calendar if spec.statistic.uses_regression else series.calendar
+
+
+def _placebo_result(
+    series: PriceSeries,
+    returns: ReturnSeries,
+    real: EventSet | GroupAssignment,
+    draw: Callable[[np.random.Generator], EventSet | GroupAssignment],
+    spec: PermutationSpec,
+) -> PermutationResult:
+    """The statistic on the real events, and its placebo distribution over
+    the event groups that ``draw`` makes from each replication's stream."""
+    observed = _statistic(series, returns, real, spec)
+    paths = np.empty((spec.replications, 2 * spec.window + 1))
+    for b in range(spec.replications):
+        paths[b] = _statistic(series, returns, draw(substream(spec.seed, b)), spec)
+    return PermutationResult(
+        rel_days=np.arange(-spec.window, spec.window + 1),
+        observed=observed,
+        placebo_mean=paths.mean(axis=0),
+        bands=percentile_bands(paths),
+        replication_count=spec.replications,
+    )
 
 
 def permutation_group_level(
@@ -177,18 +200,7 @@ def permutation_group_level(
         raise PermutationError(f"eligible pool ({len(pool)}) smaller than K={k}")
 
     real = align_events(events, cal)
-    observed = _group_statistic(series, returns, real, spec)
-    paths = np.empty((spec.replications, 2 * spec.window + 1))
-    for b in range(spec.replications):
-        placebo = draw_placebo(pool, k, substream(spec.seed, b))
-        paths[b] = _group_statistic(series, returns, placebo, spec)
-    return PermutationResult(
-        rel_days=np.arange(-spec.window, spec.window + 1),
-        observed=observed,
-        placebo_mean=paths.mean(axis=0),
-        bands=percentile_bands(paths),
-        replication_count=spec.replications,
-    )
+    return _placebo_result(series, returns, real, lambda rng: draw_placebo(pool, k, rng), spec)
 
 
 def permutation_comparison(
@@ -211,27 +223,14 @@ def permutation_comparison(
     if k_a < 1 or k_b < 1:
         raise PermutationError("both draw sizes must be >= 1")
 
-    observed = _difference_statistic(
-        series,
-        returns,
-        GroupAssignment(real_a, real_b, groups.label_a, groups.label_b),
-        spec,
-    )
-    paths = np.empty((spec.replications, 2 * spec.window + 1))
-    for b in range(spec.replications):
-        rng = substream(spec.seed, b)
+    def relabel(rng: np.random.Generator) -> GroupAssignment:
         perm = rng.permutation(len(pool))
         sample_a = _dates_to_events(sorted(pool[i] for i in perm[:k_a]), prefix="a")
         sample_b = _dates_to_events(sorted(pool[i] for i in perm[k_a : k_a + k_b]), prefix="b")
-        placebo = GroupAssignment(sample_a, sample_b, "A", "B")
-        paths[b] = _difference_statistic(series, returns, placebo, spec)
-    return PermutationResult(
-        rel_days=np.arange(-spec.window, spec.window + 1),
-        observed=observed,
-        placebo_mean=paths.mean(axis=0),
-        bands=percentile_bands(paths),
-        replication_count=spec.replications,
-    )
+        return GroupAssignment(sample_a, sample_b, "A", "B")
+
+    real = GroupAssignment(real_a, real_b, groups.label_a, groups.label_b)
+    return _placebo_result(series, returns, real, relabel, spec)
 
 
 def coverage_assessment(
@@ -253,7 +252,7 @@ def coverage_assessment(
     hits95 = 0
     for b in range(spec.replications):
         placebo = draw_placebo(pool, group_size, substream(spec.seed, b))
-        design = build_design(returns, StudySpec(spec.window, placebo, Estimator.OLS, spec.hac_lags))
+        design = build_design(returns, StudySpec(spec.window, placebo, spec.hac_lags))
         fit = fit_ols(design)
         cov = hac_covariance(design, fit, spec.hac_lags)
         path = cumulative_path(fit, cov)

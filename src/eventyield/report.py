@@ -9,18 +9,18 @@ seed: UTF-8, LF line endings, fixed float formatting.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.stats import norm
 
-from .design import Estimator, StudySpec, build_design
+from .design import StudySpec, build_design
 from .errors import ConfigError
 from .estimators import (
     CumulativePath,
+    _two_sided_p,
     accumulate_lad_path,
     constant_stats,
     cumulative_path,
@@ -45,6 +45,7 @@ from .ingest import (
     parse_ohlc_csv,
 )
 from .permutation import (
+    ESTIMATORS,
     PermutationResult,
     PermutationSpec,
     Statistic,
@@ -63,11 +64,22 @@ class AssetConfig:
     label: str
 
 
+def _check_estimator(key: str, name: str) -> None:
+    if name not in ESTIMATORS:
+        expected = ", ".join(ESTIMATORS)
+        raise ConfigError(f"{key}: unknown estimator {name!r}; expected one of {expected}")
+
+
 @dataclass(frozen=True)
 class PermutationConfig:
     replications: int = 5000
     seed: int = 0
-    statistic: str = "ols"  # ols | lad | median
+    statistic: str = "ols"
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ConfigError("permutation.replications must be >= 1")
+        _check_estimator("permutation.statistic", self.statistic)
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.estimator not in ("ols", "lad", "median"):
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
+        _check_estimator("estimator", self.estimator)
         for asset in self.assets:
             if asset.kind not in ("fred", "ohlc", "forecast"):
                 raise ConfigError(f"unknown asset kind {asset.kind!r}")
@@ -135,19 +146,26 @@ def load_config(path: str | Path) -> StudyConfig:
     return cfg
 
 
-_PARSERS = {
-    "fred": lambda text, label: parse_fred_csv(text),
-    "ohlc": parse_ohlc_csv,
-    "forecast": lambda text, label: parse_forecast_series(text),
-}
-
-
 def load_asset(asset: AssetConfig) -> PriceSeries:
     with open(asset.path, encoding="utf-8") as fh:
         text = fh.read()
     if asset.kind == "ohlc":
         return parse_ohlc_csv(text, asset_id=asset.label)
-    return _PARSERS[asset.kind](text, asset.label)
+    if asset.kind == "forecast":
+        return parse_forecast_series(text)
+    return parse_fred_csv(text)
+
+
+def load_events(config: StudyConfig) -> tuple[EventSet, GroupAssignment | EventSet]:
+    """The study's events, restricted to ``config.years``, and their split
+    by ``config.split``."""
+    with open(config.events_path, encoding="utf-8") as fh:
+        events = parse_event_table(fh.read())
+    if config.years:
+        events = events.filter_years(*config.years)
+    if len(events) == 0:
+        raise ConfigError("no events")
+    return events, resolve_split(events, config.split)
 
 
 def resolve_split(events: EventSet, rule: str) -> GroupAssignment | EventSet:
@@ -309,16 +327,12 @@ def read_path_csv(path: str | Path, label: str | None = None) -> CumulativePath:
     if not have_se:
         return CumulativePath(label=label or Path(path).stem, rel_days=np.array(days), estimates=est)
     se = np.array(ses)
-    p = np.ones_like(est)
-    nz = se > 0
-    p[nz] = 2.0 * norm.sf(np.abs(est[nz]) / se[nz])
-    p[(se == 0) & (est != 0)] = 0.0
     return CumulativePath(
         label=label or Path(path).stem,
         rel_days=np.array(days),
         estimates=est,
         ses=se,
-        pvalues=p,
+        pvalues=_two_sided_p(est, se),
     )
 
 
@@ -352,12 +366,6 @@ def write_event_csv(events: EventSet) -> str:
 
 # --- orchestration ---------------------------------------------------------
 
-_STAT_BY_NAME = {
-    "ols": (Statistic.OLS_PATH, Statistic.OLS_DIFFERENCE),
-    "lad": (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE),
-    "median": (Statistic.MEDIAN_PATH, Statistic.MEDIAN_DIFFERENCE),
-}
-
 
 def _scale_for(series: PriceSeries) -> float:
     # percent points -> bp for level series; log returns left unscaled
@@ -367,7 +375,8 @@ def _scale_for(series: PriceSeries) -> float:
 def _estimate_paths(series, returns, groups, config: StudyConfig):
     """Paths per group plus the difference, and the constant row (OLS only)."""
     two_group = isinstance(groups, GroupAssignment)
-    if config.estimator == "median":
+    statistic = Statistic(config.estimator)
+    if not statistic.uses_regression:
         if two_group:
             a = median_change(series, groups.group_a, config.window)
             b = median_change(series, groups.group_b, config.window)
@@ -382,7 +391,6 @@ def _estimate_paths(series, returns, groups, config: StudyConfig):
         path = median_change(series, groups, config.window)
         return [path], None
 
-    estimator = Estimator.LAD if config.estimator == "lad" else Estimator.OLS
     aligned = (
         GroupAssignment(
             align_events(groups.group_a, returns.calendar),
@@ -393,9 +401,8 @@ def _estimate_paths(series, returns, groups, config: StudyConfig):
         if two_group
         else align_events(groups, returns.calendar)
     )
-    spec = StudySpec(config.window, aligned, estimator, config.hac_lags)
-    design = build_design(returns, spec)
-    if estimator is Estimator.LAD:
+    design = build_design(returns, StudySpec(config.window, aligned, config.hac_lags))
+    if statistic is Statistic.LAD_PATH:
         fit = fit_lad(design)
         paths = [accumulate_lad_path(fit, group=g) for g in design.group_labels]
         if two_group:
@@ -414,78 +421,74 @@ def _slug(text: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in text).strip("_").lower()
 
 
-def run_study(config: StudyConfig) -> list[Path]:
-    """Run the configured study end to end; returns the written files."""
-    with open(config.events_path, encoding="utf-8") as fh:
-        events = parse_event_table(fh.read())
-    if config.years:
-        events = events.filter_years(*config.years)
-    if len(events) == 0:
-        raise ConfigError("no events")
-    groups = resolve_split(events, config.split)
+def _emit_study(series, groups, config: StudyConfig, label: str, out_dir: Path) -> list[Path]:
+    """Path CSVs per group plus the difference, and the significance table."""
+    returns = to_returns(series)
+    scale = _scale_for(series)
+    paths, constant = _estimate_paths(series, returns, groups, config)
+    two_group = isinstance(groups, GroupAssignment)
+    written = []
+    for i, path in enumerate(paths):
+        is_diff = two_group and i == len(paths) - 1
+        suffix = "diff" if is_diff else _slug(path.label)
+        written.append(emit_paths(path, out_dir / f"{label}_{suffix}.csv", scale=scale))
+    table_file = out_dir / f"{label}_table.txt"
+    table = render_table(paths, constant=constant, scale=scale)
+    table_file.write_text(table, encoding="utf-8", newline="\n")
+    written.append(table_file)
+    return written
 
+
+def _emit_permutation(series, groups, config: StudyConfig, label: str, out_dir: Path) -> list[Path]:
+    """Placebo band CSVs: one per group, plus the difference for two groups."""
+    perm = config.permutation
+    base = PermutationSpec(
+        replications=perm.replications,
+        statistic=Statistic(perm.statistic),
+        window=config.window,
+        seed=perm.seed,
+        hac_lags=config.hac_lags,
+    )
+    if isinstance(groups, GroupAssignment):
+        # group-level panels draw samples of the smaller group's size
+        level = replace(base, k=min(len(groups.group_a), len(groups.group_b)))
+        panels = [
+            (_slug(groups.label_a), permutation_group_level, groups.group_a, level),
+            (_slug(groups.label_b), permutation_group_level, groups.group_b, level),
+            ("diff", permutation_comparison, groups,
+             replace(base, statistic=Statistic(f"{perm.statistic}_diff"))),
+        ]
+    else:
+        panels = [("all", permutation_group_level, groups, base)]
+    scale = _scale_for(series)
+    written = []
+    for suffix, permute, events, spec in panels:
+        result = permute(series, events, spec)
+        written.append(emit_placebo(result, out_dir / f"{label}_{suffix}_placebo.csv", scale))
+    return written
+
+
+def _for_each_asset(config: StudyConfig, stages) -> list[Path]:
+    _, groups = load_events(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for asset in config.assets:
         series = load_asset(asset)
-        returns = to_returns(series)
-        scale = _scale_for(series)
-        paths, constant = _estimate_paths(series, returns, groups, config)
-        two_group = isinstance(groups, GroupAssignment)
-        for i, path in enumerate(paths):
-            is_diff = two_group and i == len(paths) - 1
-            suffix = "diff" if is_diff else _slug(path.label)
-            written.append(
-                emit_paths(path, out_dir / f"{asset.label}_{suffix}.csv", scale=scale)
-            )
-        table = render_table(paths, constant=constant, scale=scale)
-        table_file = out_dir / f"{asset.label}_table.txt"
-        table_file.write_text(table, encoding="utf-8", newline="\n")
-        written.append(table_file)
-
-        if config.permutation is not None:
-            written.extend(_run_permutation(series, groups, config, asset, out_dir, scale))
+        for stage in stages:
+            written.extend(stage(series, groups, config, asset.label, out_dir))
     return written
 
 
-def _run_permutation(series, groups, config, asset, out_dir, scale) -> list[Path]:
-    level_stat, diff_stat = _STAT_BY_NAME[config.permutation.statistic]
-    written = []
-    two_group = isinstance(groups, GroupAssignment)
-    if two_group:
-        # group-level panels draw samples of the smaller group's size
-        k = min(len(groups.group_a), len(groups.group_b))
-        for label, evset in ((groups.label_a, groups.group_a), (groups.label_b, groups.group_b)):
-            spec = PermutationSpec(
-                replications=config.permutation.replications,
-                statistic=level_stat,
-                window=config.window,
-                seed=config.permutation.seed,
-                k=k,
-                hac_lags=config.hac_lags,
-            )
-            result = permutation_group_level(series, evset, spec)
-            written.append(
-                emit_placebo(result, out_dir / f"{asset.label}_{_slug(label)}_placebo.csv", scale)
-            )
-        spec = PermutationSpec(
-            replications=config.permutation.replications,
-            statistic=diff_stat,
-            window=config.window,
-            seed=config.permutation.seed,
-            hac_lags=config.hac_lags,
-        )
-        result = permutation_comparison(series, groups, spec)
-        written.append(emit_placebo(result, out_dir / f"{asset.label}_diff_placebo.csv", scale))
-    else:
-        spec = PermutationSpec(
-            replications=config.permutation.replications,
-            statistic=level_stat,
-            window=config.window,
-            seed=config.permutation.seed,
-            hac_lags=config.hac_lags,
-        )
-        result = permutation_group_level(series, groups, spec)
-        written.append(emit_placebo(result, out_dir / f"{asset.label}_all_placebo.csv", scale))
-    return written
+def run_study(config: StudyConfig) -> list[Path]:
+    """Run the configured study end to end; returns the written files."""
+    stages = [_emit_study] if config.permutation is None else [_emit_study, _emit_permutation]
+    return _for_each_asset(config, stages)
+
+
+def run_permutation(config: StudyConfig) -> list[Path]:
+    """Write only the placebo band CSVs of the configured study; returns the
+    written files."""
+    if config.permutation is None:
+        raise ConfigError("permutation settings missing")
+    return _for_each_asset(config, [_emit_permutation])

@@ -1,12 +1,13 @@
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
 from eventyield.cli import main
 
 
-def make_config(tmp_path, data_dir):
+def make_config(tmp_path, data_dir, name="study.yaml", **extra):
     doc = {
         "assets": [{"path": str(data_dir / "synth_prices.csv"), "kind": "fred", "label": "synth"}],
         "events": str(data_dir / "synth_events.csv"),
@@ -14,8 +15,9 @@ def make_config(tmp_path, data_dir):
         "split": "openness",
         "window": 15,
         "hac_lags": 10,
+        **extra,
     }
-    cfg = tmp_path / "study.yaml"
+    cfg = tmp_path / name
     cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return cfg
 
@@ -92,3 +94,65 @@ def test_years_parse_error(tmp_path):
     cfg = make_config(tmp_path, data_dir)
     r = runner.invoke(main, ["run", "--config", str(cfg), "--years", "2023-2024"])
     assert r.exit_code != 0
+
+
+@pytest.fixture
+def synth_data(tmp_path):
+    data_dir = tmp_path / "data"
+    r = CliRunner().invoke(
+        main,
+        ["synth", "--output", str(data_dir), "--length", "400", "--events-per-group", "4"],
+    )
+    assert r.exit_code == 0, r.output
+    return data_dir
+
+
+def assert_clean_failure(r, message):
+    """Non-zero exit with a one-line error naming the problem, no traceback."""
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("Error: ") and r.output.count("\n") == 1, r.output
+    assert message in r.output
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unknown_permutation_statistic_rejected_at_load(tmp_path, synth_data, command):
+    perm = {"replications": 4, "seed": 0, "statistic": "foo"}
+    cfg = make_config(tmp_path, synth_data, permutation=perm)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, "permutation.statistic")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_zero_replications_rejected(tmp_path, synth_data):
+    cfg = make_config(tmp_path, synth_data)
+    r = CliRunner().invoke(main, ["run", "--config", str(cfg), "--replications", "0"])
+    assert_clean_failure(r, "permutation.replications")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "permute"])
+def test_years_leaving_no_events(tmp_path, synth_data, command):
+    cfg = make_config(tmp_path, synth_data, years=[1990, 1991])
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, "no events")
+    assert not (tmp_path / "out").exists()
+
+
+def test_permute_writes_the_placebo_files_of_run(tmp_path, synth_data):
+    perm = {"replications": 5, "seed": 3, "statistic": "ols"}
+    run_cfg = make_config(tmp_path, synth_data, "run.yaml", output_dir="run", permutation=perm)
+    permute_cfg = make_config(tmp_path, synth_data, "permute.yaml", output_dir="permute")
+    runner = CliRunner()
+    r = runner.invoke(main, ["run", "--config", str(run_cfg)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(
+        main,
+        ["permute", "--config", str(permute_cfg), "--replications", "5", "--seed", "3",
+         "--statistic", "ols"],
+    )
+    assert r.exit_code == 0, r.output
+    names = sorted(p.name for p in (tmp_path / "permute").iterdir())
+    assert names == [f"synth_{g}_placebo.csv" for g in ("closed", "diff", "open")]
+    for name in names:
+        assert (tmp_path / "permute" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()

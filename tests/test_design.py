@@ -5,7 +5,6 @@ import pytest
 
 from eventyield import (
     DesignError,
-    Estimator,
     Openness,
     StudySpec,
     build_design,

@@ -5,7 +5,6 @@ import pytest
 
 from eventyield import (
     EstimationError,
-    Estimator,
     EventSet,
     GroupAssignment,
     Openness,
