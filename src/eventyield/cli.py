@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from . import report
-from .errors import EventYieldError
+from .errors import ConfigError, EventYieldError
 from .events import Event, EventSet, Openness, split_by_openness
 from .permutation import ESTIMATORS
 from .report import PermutationConfig, StudyConfig, load_config, run_study
@@ -26,12 +26,24 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
         raise click.BadParameter("expected <first>..<last>, e.g. 2023..2024")
 
 
-def _apply_overrides(cfg: StudyConfig, seed, replications, **kw) -> StudyConfig:
-    """Replace the config values given on the command line; a seed or a
-    replication count switches placebo bands on."""
+def _apply_overrides(
+    cfg: StudyConfig, seed=None, replications=None, statistic=None, **kw
+) -> StudyConfig:
+    """Replace the config values given on the command line.  A replication
+    count switches placebo bands on; a seed or a statistic alone only changes
+    the config's existing ``permutation`` section, and is an error without
+    one."""
     updates = {k: v for k, v in kw.items() if v is not None}
-    perm = {k: v for k, v in (("seed", seed), ("replications", replications)) if v is not None}
+    perm = {
+        k: v
+        for k, v in (("seed", seed), ("replications", replications), ("statistic", statistic))
+        if v is not None
+    }
     if perm:
+        if cfg.permutation is None and replications is None:
+            raise ConfigError(
+                "no permutation section to re-seed: add one to the config or pass --replications"
+            )
         updates["permutation"] = replace(cfg.permutation or PermutationConfig(), **perm)
     return replace(cfg, **updates)
 
@@ -44,7 +56,7 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None, help="Permutation seed override.")
+@click.option("--seed", type=int, default=None, help="Re-seeds the config's permutation section.")
 @click.option("--window", type=int, default=None)
 @click.option("--hac-lags", type=int, default=None)
 @click.option("--replications", type=int, default=None)
@@ -72,20 +84,23 @@ def run(config_path, seed, window, hac_lags, replications, years, estimator):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=0)
-@click.option("--replications", type=int, default=5000)
-@click.option("--statistic", type=click.Choice(ESTIMATORS), default="ols")
+@click.option("--seed", type=int, default=None, help="Overrides permutation.seed.")
+@click.option("--replications", type=int, default=None, help="Overrides permutation.replications.")
+@click.option("--statistic", type=click.Choice(ESTIMATORS), default=None,
+              help="Overrides permutation.statistic.")
 @click.option("--years", default=None)
 def permute(config_path, seed, replications, statistic, years):
-    """Compute placebo permutation bands only."""
+    """Compute placebo permutation bands only, with the config's permutation
+    settings (defaults: 5000 OLS replications, seed 0) and any overrides."""
     try:
         cfg = load_config(config_path)
-        cfg = replace(
+        cfg = replace(cfg, permutation=cfg.permutation or PermutationConfig())
+        cfg = _apply_overrides(
             cfg,
-            years=_parse_years(years) or cfg.years,
-            permutation=PermutationConfig(
-                replications=replications, seed=seed, statistic=statistic
-            ),
+            seed=seed,
+            replications=replications,
+            statistic=statistic,
+            years=_parse_years(years),
         )
         written = report.run_permutation(cfg)
     except EventYieldError as exc:

@@ -7,8 +7,9 @@ the row's date, so shared days load on every window they belong to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,11 @@ class DesignMatrix:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
+    @cached_property
+    def rank(self) -> int:
+        """Numerical column rank of ``matrix``, computed on first use."""
+        return matrix_rank(self.matrix)
+
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
@@ -106,8 +112,8 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
     groups = spec.group_sets()
     positions: list[list[int]] = []
     for label, events in groups:
-        if isinstance(spec.groups, EventSet) and len(events) == 0:
-            raise DesignError("empty event set")
+        if len(events) == 0:
+            raise DesignError(f"group {label!r} has no events")
         pos = []
         for e in events:
             if e.date not in cal:
@@ -122,19 +128,17 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
             pos.append(p)
         positions.append(pos)
     all_pos = [p for ps in positions for p in ps]
-    if not all_pos:
-        raise DesignError("empty event set")
 
     start = min(all_pos) - w
     end = max(all_pos) + w
     n_rows = end - start + 1
     width = 2 * w + 1
     n_cols = len(groups) * width + 1
+    offsets = np.arange(-w, w + 1)
     x = np.zeros((n_rows, n_cols))
     for g, pos in enumerate(positions):
-        for p in pos:
-            for s in range(-w, w + 1):
-                x[p + s - start, g * width + (s + w)] += 1.0
+        rows = np.asarray(pos)[:, None] + offsets - start
+        np.add.at(x, (rows, g * width + w + offsets), 1.0)
     x[:, -1] = 1.0
 
     dm = DesignMatrix(
@@ -144,7 +148,7 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
         window=w,
         group_labels=tuple(label for label, _ in groups),
     )
-    if matrix_rank(x) < n_cols:
+    if dm.rank < n_cols:
         raise DesignError("design matrix is perfectly collinear")
     return dm
 

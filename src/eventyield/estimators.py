@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.stats import norm
 
-from .design import RANK_TOL, DesignMatrix, matrix_rank
+from .design import RANK_TOL, DesignMatrix
 from .errors import EstimationError
 from .events import EventSet
 from .series import PriceSeries, align_event_date
@@ -65,7 +66,7 @@ class CumulativePath:
 
 
 def _check_rank(design: DesignMatrix):
-    if matrix_rank(design.matrix) < design.n_cols:
+    if design.rank < design.n_cols:
         raise EstimationError("design matrix is rank deficient")
 
 
@@ -85,14 +86,19 @@ def fit_lad(design: DesignMatrix) -> RegressionFit:
 
     min 1'u + 1'v  s.t.  X theta + u - v = y,  u, v >= 0.
     The HiGHS solver is deterministic, so permutation replications are
-    reproducible.
+    reproducible.  The equality block [X, I, -I] is handed over in the
+    compressed-column form HiGHS takes, which is what ``linprog`` would
+    convert a dense block to: the model, and so the solution, is the same.
     """
     _check_rank(design)
     x, y = design.matrix, design.response
     n, p = x.shape
     c = np.concatenate([np.zeros(p), np.ones(2 * n)])
-    a_eq = np.hstack([x, np.eye(n), -np.eye(n)])
-    bounds = [(None, None)] * p + [(0, None)] * (2 * n)
+    eye = sp.eye_array(n, format="csc")
+    a_eq = sp.hstack([sp.csc_array(x), eye, -eye], format="csc")
+    bounds = np.zeros((p + 2 * n, 2))
+    bounds[:p, 0] = -np.inf
+    bounds[:, 1] = np.inf
     res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
     if not res.success:
         raise EstimationError(f"LAD solver failed: {res.message}")

@@ -79,6 +79,8 @@ class PermutationConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("permutation.replications must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("permutation.seed must be >= 0")
         _check_estimator("permutation.statistic", self.statistic)
 
 
@@ -97,46 +99,71 @@ class StudyConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError("window must be >= 1")
+        if self.hac_lags < 0:
+            raise ConfigError("hac_lags must be >= 0")
         _check_estimator("estimator", self.estimator)
         for asset in self.assets:
             if asset.kind not in ("fred", "ohlc", "forecast"):
                 raise ConfigError(f"unknown asset kind {asset.kind!r}")
 
 
+def _int(value, key: str) -> int:
+    # bool is an int subclass, but `window: true` is not a window
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _years(value) -> tuple[int, int] | None:
+    if not value:
+        return None
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"years: expected [first, last], got {value!r}")
+    return _int(value[0], "years"), _int(value[1], "years")
+
+
+def _permutation(value) -> PermutationConfig | None:
+    if not value:
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError(f"permutation: expected a mapping, got {value!r}")
+    return PermutationConfig(
+        replications=_int(value.get("replications", 5000), "permutation.replications"),
+        seed=_int(value.get("seed", 0), "permutation.seed"),
+        statistic=value.get("statistic", "ols"),
+    )
+
+
 def load_config(path: str | Path) -> StudyConfig:
-    """Read the YAML study document; see README for the schema."""
+    """Read the YAML study document; see README for the schema.  A missing
+    key or a value of the wrong type is a ConfigError naming the key."""
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     base = Path(path).parent
     try:
+        entries = doc["assets"]
+        if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
+            raise ConfigError(f"assets: expected a list of mappings, got {entries!r}")
         assets = tuple(
             AssetConfig(
                 path=str(base / a["path"]),
                 kind=a.get("kind", "fred"),
                 label=a.get("label", Path(a["path"]).stem),
             )
-            for a in doc["assets"]
+            for a in entries
         )
         cfg = StudyConfig(
             assets=assets,
             events_path=str(base / doc["events"]),
             output_dir=str(base / doc.get("output_dir", "out")),
             split=doc.get("split", "openness"),
-            window=int(doc.get("window", 15)),
-            hac_lags=int(doc.get("hac_lags", 30)),
+            window=_int(doc.get("window", 15), "window"),
+            hac_lags=_int(doc.get("hac_lags", 30), "hac_lags"),
             estimator=doc.get("estimator", "ols"),
-            years=tuple(doc["years"]) if doc.get("years") else None,
-            permutation=(
-                PermutationConfig(
-                    replications=int(doc["permutation"].get("replications", 5000)),
-                    seed=int(doc["permutation"].get("seed", 0)),
-                    statistic=doc["permutation"].get("statistic", "ols"),
-                )
-                if doc.get("permutation")
-                else None
-            ),
+            years=_years(doc.get("years")),
+            permutation=_permutation(doc.get("permutation")),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
@@ -158,14 +185,19 @@ def load_asset(asset: AssetConfig) -> PriceSeries:
 
 def load_events(config: StudyConfig) -> tuple[EventSet, GroupAssignment | EventSet]:
     """The study's events, restricted to ``config.years``, and their split
-    by ``config.split``."""
+    by ``config.split``; a split that leaves a group empty is an error."""
     with open(config.events_path, encoding="utf-8") as fh:
         events = parse_event_table(fh.read())
     if config.years:
         events = events.filter_years(*config.years)
     if len(events) == 0:
         raise ConfigError("no events")
-    return events, resolve_split(events, config.split)
+    groups = resolve_split(events, config.split)
+    if isinstance(groups, GroupAssignment):
+        for label, group in ((groups.label_a, groups.group_a), (groups.label_b, groups.group_b)):
+            if len(group) == 0:
+                raise ConfigError(f"split {config.split!r} leaves group {label!r} with no events")
+    return events, groups
 
 
 def resolve_split(events: EventSet, rule: str) -> GroupAssignment | EventSet:

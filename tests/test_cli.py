@@ -156,3 +156,99 @@ def test_permute_writes_the_placebo_files_of_run(tmp_path, synth_data):
     assert names == [f"synth_{g}_placebo.csv" for g in ("closed", "diff", "open")]
     for name in names:
         assert (tmp_path / "permute" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+def test_permute_uses_the_config_permutation_section(tmp_path, synth_data):
+    perm = {"replications": 4, "seed": 7, "statistic": "lad"}
+    run_cfg = make_config(tmp_path, synth_data, "run.yaml", output_dir="run", permutation=perm)
+    permute_cfg = make_config(
+        tmp_path, synth_data, "permute.yaml", output_dir="permute", permutation=perm
+    )
+    runner = CliRunner()
+    r = runner.invoke(main, ["run", "--config", str(run_cfg)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["permute", "--config", str(permute_cfg)])
+    assert r.exit_code == 0, r.output
+    names = sorted(p.name for p in (tmp_path / "permute").iterdir())
+    assert names == [f"synth_{g}_placebo.csv" for g in ("closed", "diff", "open")]
+    for name in names:
+        assert (tmp_path / "permute" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+def test_run_seed_without_permutation_section_rejected(tmp_path, synth_data):
+    cfg = make_config(tmp_path, synth_data)
+    r = CliRunner().invoke(main, ["run", "--config", str(cfg), "--seed", "3"])
+    assert_clean_failure(r, "no permutation section")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_negative_seed_rejected(tmp_path, synth_data):
+    cfg = make_config(tmp_path, synth_data, permutation={"replications": 2})
+    r = CliRunner().invoke(main, ["run", "--config", str(cfg), "--seed", "-1"])
+    assert_clean_failure(r, "permutation.seed")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_seed_reseeds_the_permutation_section(tmp_path, synth_data):
+    perm = {"replications": 3, "seed": 0, "statistic": "ols"}
+    reseeded = make_config(tmp_path, synth_data, "a.yaml", output_dir="a", permutation=perm)
+    seeded = make_config(
+        tmp_path, synth_data, "b.yaml", output_dir="b", permutation={**perm, "seed": 5}
+    )
+    runner = CliRunner()
+    r = runner.invoke(main, ["run", "--config", str(reseeded), "--seed", "5"])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["run", "--config", str(seeded)])
+    assert r.exit_code == 0, r.output
+    for f in sorted((tmp_path / "b").iterdir()):
+        assert (tmp_path / "a" / f.name).read_bytes() == f.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_split_leaving_a_group_empty(tmp_path, synth_data, command):
+    lines = (synth_data / "synth_events.csv").read_text().splitlines()
+    all_open = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[2] = "x"
+        all_open.append(",".join(cells))
+    (synth_data / "synth_events.csv").write_text("\n".join(all_open) + "\n")
+    cfg = make_config(tmp_path, synth_data)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, "split 'openness' leaves group 'Closed' with no events")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"window": "abc"}, "window"),
+        ({"window": 1.5}, "window"),
+        ({"hac_lags": "x"}, "hac_lags"),
+        ({"years": 2023}, "years"),
+        ({"permutation": {"replications": "many"}}, "permutation.replications"),
+        ({"permutation": 5}, "permutation"),
+        ({"assets": {"path": "synth_prices.csv"}}, "assets"),
+        ({"assets": ["synth_prices.csv"]}, "assets"),
+    ],
+    ids=["window", "window-float", "hac_lags", "years", "permutation.replications",
+         "permutation", "assets", "asset"],
+)
+def test_config_value_of_wrong_type(tmp_path, synth_data, extra, key):
+    cfg = make_config(tmp_path, synth_data, **extra)
+    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, f"Error: {key}: expected")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"hac_lags": -1}, "hac_lags must be >= 0"),
+        ({"permutation": {"seed": -1}}, "permutation.seed must be >= 0"),
+    ],
+    ids=["hac_lags", "permutation.seed"],
+)
+def test_config_value_out_of_range(tmp_path, synth_data, extra, message):
+    cfg = make_config(tmp_path, synth_data, **extra)
+    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, message)

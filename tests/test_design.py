@@ -114,6 +114,10 @@ class TestValidation:
         with pytest.raises(DesignError):
             build_design(r, StudySpec(window=2, groups=EventSet(())))
 
+    def test_empty_group_is_named(self):
+        with pytest.raises(DesignError, match="group 'B' has no events"):
+            design_for(60, [10, 20], [], window=2)
+
     def test_single_pooled_event_is_collinear(self):
         # with one event and no rows outside the window, the constant is a
         # linear combination of the dummies
@@ -148,3 +152,25 @@ def test_response_and_matrix_read_only():
         dm.matrix[0, 0] = 5.0
     with pytest.raises(ValueError):
         dm.response[0] = 5.0
+
+
+def loop_filled_dummies(dm, positions_by_group, start):
+    """The dummy columns filled one event and one relative day at a time,
+    the reference for build_design's vectorised fill."""
+    w = dm.window
+    x = np.zeros((dm.n_rows, dm.n_cols))
+    for g, pos in enumerate(positions_by_group):
+        for p in pos:
+            for s in range(-w, w + 1):
+                x[p + s - start, dm.column_index(g, s)] += 1.0
+    x[:, -1] = 1.0
+    return x
+
+
+def test_vectorised_fill_matches_loop():
+    # overlapping windows within and across groups, a date shared across
+    # groups, and two same-day events in one group
+    pos_a, pos_b = [20, 23, 40, 40, 41, 70], [23, 30, 55, 90]
+    dm = design_for(140, pos_a, pos_b, window=6)
+    expected = loop_filled_dummies(dm, [pos_a, pos_b], start=20 - 6)
+    assert np.array_equal(dm.matrix, expected)

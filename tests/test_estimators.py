@@ -2,6 +2,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from eventyield import (
     EstimationError,
@@ -84,6 +85,8 @@ class TestFitOls:
         )
         with pytest.raises(EstimationError):
             fit_ols(bad)
+        with pytest.raises(EstimationError):
+            fit_lad(bad)
 
 
 class TestFitLad:
@@ -128,6 +131,83 @@ class TestFitLad:
         ols = fit_ols(dm)
         assert np.allclose(lad.coefficients, ols.coefficients, atol=1e-8)
         assert lad.objective == pytest.approx(0.0, abs=1e-8)
+
+
+def dense_primal_lad(design):
+    """The LAD linear program with a dense [X, I, -I] equality block and a
+    list of bound pairs: the reference whose solution fit_lad must reproduce
+    bit for bit.  Returns (coefficients, sum of absolute residuals)."""
+    x, y = design.matrix, design.response
+    n, p = x.shape
+    c = np.concatenate([np.zeros(p), np.ones(2 * n)])
+    a_eq = np.hstack([x, np.eye(n), -np.eye(n)])
+    bounds = [(None, None)] * p + [(0, None)] * (2 * n)
+    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
+    assert res.success, res.message
+    coef = res.x[:p]
+    return coef, float(np.sum(np.abs(y - x @ coef)))
+
+
+class TestLadMatchesDensePrimal:
+    @staticmethod
+    def assert_same(design):
+        fit = fit_lad(design)
+        coef, objective = dense_primal_lad(design)
+        assert np.array_equal(fit.coefficients, coef)
+        assert np.array_equal(fit.objective, objective)
+
+    def test_random_designs(self):
+        rng = np.random.default_rng(17)
+        for i in range(40):
+            dm = random_design(rng, n_rows=int(rng.integers(8, 80)), n_cols=int(rng.integers(2, 7)))
+            if i % 2:  # tied responses make degenerate vertices
+                dm = type(dm)(dm.row_dates, np.round(dm.response), dm.matrix, 0, ("All",))
+            self.assert_same(dm)
+
+    def test_two_group_event_design(self):
+        rng = np.random.default_rng(4)
+        vals = 4.0 + np.cumsum(0.05 * rng.standard_normal(300))
+        _, dm = two_group_design(vals, [40, 90, 150, 210], [52, 100, 161, 233])
+        self.assert_same(dm)
+
+    def test_staggered_step_design(self):
+        # the three staggered unit steps of acceptance criterion 8
+        from eventyield import PriceSeries, Transform
+        from eventyield.synth import weekday_calendar
+
+        n = 270
+        cal = weekday_calendar(date(2022, 1, 3), n)
+        vals = np.full(n, 4.0)
+        for onset in (45, 120, 195):
+            vals[onset:] += 1.0
+        returns = to_returns(PriceSeries("steps", cal, vals, Transform.LEVEL))
+        events = make_events(returns.calendar, [49, 119, 189])
+        self.assert_same(build_design(returns, StudySpec(15, events)))
+
+
+def counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_lad])
+def test_one_rank_factorisation_per_design(monkeypatch, fit):
+    # build_design and the fit share one rank, computed by one SVD
+    import eventyield.design
+
+    calls = []
+    monkeypatch.setattr(
+        eventyield.design, "matrix_rank", counting(calls, "rank", eventyield.design.matrix_rank)
+    )
+    monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
+    rng = np.random.default_rng(8)
+    vals = 4.0 + np.cumsum(0.05 * rng.standard_normal(200))
+    _, dm = two_group_design(vals, [40, 100], [55, 123])
+    fit(dm)
+    assert calls == ["rank", "svd"]
 
 
 class TestHacCovariance:
