@@ -44,6 +44,9 @@ from .ingest import (
     parse_fred_csv,
     parse_ohlc_csv,
     read_table,
+    write_event_csv,
+    write_fred_csv,
+    write_table,
 )
 from .permutation import (
     PermutationResult,
@@ -63,8 +66,6 @@ from .report import (
     load_config,
     render_table,
     run_study,
-    write_event_csv,
-    write_fred_csv,
 )
 from .series import (
     PriceSeries,

@@ -11,6 +11,7 @@ import click
 from . import report
 from .errors import ConfigError, EventYieldError
 from .events import Event, EventSet, Openness, split_by_openness
+from .ingest import write_event_csv, write_fred_csv
 from .permutation import ESTIMATORS
 from .report import PermutationConfig, StudyConfig, load_config, run_study
 from .synth import SynthSpec, generate_walk, inject_effects
@@ -144,12 +145,8 @@ def synth(output, length, sigma_bp, drift_bp, seed, events_per_group, effect_bp,
         groups,
         {"Open": {0: effect_bp / 100.0}, "Closed": {0: -effect_bp / 100.0}},
     )
-    (out / "synth_prices.csv").write_text(
-        report.write_fred_csv(series), encoding="utf-8", newline="\n"
-    )
-    (out / "synth_events.csv").write_text(
-        report.write_event_csv(events), encoding="utf-8", newline="\n"
-    )
+    (out / "synth_prices.csv").write_text(write_fred_csv(series), encoding="utf-8", newline="\n")
+    (out / "synth_events.csv").write_text(write_event_csv(events), encoding="utf-8", newline="\n")
     click.echo(out / "synth_prices.csv")
     click.echo(out / "synth_events.csv")
 
@@ -174,12 +171,13 @@ def table(path_csvs, out):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def validate(config_path):
-    """Parse the config and every referenced file; report problems."""
+    """Parse the config and every referenced file, and check that every
+    event window fits each asset's calendar; report problems."""
     try:
         cfg = load_config(config_path)
-        events, _ = report.load_events(cfg)
+        events, groups = report.load_events(cfg)
         for asset in cfg.assets:
-            report.load_asset(asset)
+            report.check_windows(cfg, groups, report.load_asset(asset))
     except EventYieldError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"OK: {len(events)} events, {len(cfg.assets)} asset(s)")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DesignError
 from .events import EventSet, GroupAssignment
-from .series import ReturnSeries, relative_day_index
+from .series import ReturnSeries, TradingCalendar
 
 # Singular values below RANK_TOL x largest are treated as zero.
 RANK_TOL = 1e-10
@@ -114,19 +114,7 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
     for label, events in groups:
         if len(events) == 0:
             raise DesignError(f"group {label!r} has no events")
-        pos = []
-        for e in events:
-            if e.date not in cal:
-                raise DesignError(
-                    f"event {e.name} date {e.date} not on the return calendar; align first"
-                )
-            p = cal.position(e.date)
-            if p - w < 0 or p + w >= len(cal):
-                raise DesignError(
-                    f"event {e.name} on {e.date}: +-{w} day window leaves the calendar"
-                )
-            pos.append(p)
-        positions.append(pos)
+        positions.append(event_positions(events, cal, w))
     all_pos = [p for ps in positions for p in ps]
 
     start = min(all_pos) - w
@@ -151,6 +139,21 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
     if dm.rank < n_cols:
         raise DesignError("design matrix is perfectly collinear")
     return dm
+
+
+def event_positions(events: EventSet, calendar: TradingCalendar, w: int) -> list[int]:
+    """Calendar positions of ``events``, whose dates must be calendar dates
+    (see ``align_events``) and whose +-w windows must lie inside the
+    calendar."""
+    positions = []
+    for e in events:
+        if e.date not in calendar:
+            raise DesignError(f"event {e.name} date {e.date} not on the calendar; align first")
+        p = calendar.position(e.date)
+        if p - w < 0 or p + w >= len(calendar):
+            raise DesignError(f"event {e.name} on {e.date}: +-{w} day window leaves the calendar")
+        positions.append(p)
+    return positions
 
 
 def matrix_rank(x: np.ndarray) -> int:

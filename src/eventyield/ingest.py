@@ -1,6 +1,7 @@
-"""Parsers for the published CSV shapes: FRED yield series, OHLC equity
-files, event tables, and forecast series.
+"""Readers and writers for the published CSV shapes: FRED yield series,
+OHLC equity files, event tables, and forecast series.
 
+All CSV text in the package goes through ``read_table`` and ``write_table``.
 All parsers reject malformed rows with a diagnosed row number rather than
 repairing them.
 """
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +23,9 @@ from .series import PriceSeries, TradingCalendar, Transform
 
 _EPOCH = date(1970, 1, 1)
 
-EVENT_COLUMNS = ("date", "model", "open", "lab", "country", "arena_score", "frontier_gap", "agi_shift")
+_TEXT_ATTRS = ("lab", "country")
+_NUMERIC_ATTRS = ("arena_score", "frontier_gap", "agi_shift")
+EVENT_COLUMNS = ("date", "model", "open") + _TEXT_ATTRS + _NUMERIC_ATTRS
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,22 @@ def read_table(text: str) -> RawTable:
     return RawTable(header=header, rows=tuple(rows))
 
 
+def write_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """CSV text that ``read_table`` parses back to ``header`` and ``rows``:
+    LF line endings, and quotes only around cells holding a comma, a quote or
+    a line break."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def format_number(x: float | None) -> str:
+    """The fixed float format of every written number; None is an empty cell."""
+    return "" if x is None else "%.12g" % x
+
+
 def _parse_date(cell: str, row: int) -> date:
     """ISO-8601 or MM/DD/YYYY."""
     for fmt in ("%Y-%m-%d", "%m/%d/%Y"):
@@ -58,44 +79,82 @@ def _parse_date(cell: str, row: int) -> date:
     raise IngestError(f"unparseable date {cell!r}", row=row)
 
 
-def _parse_value(cell: str, row: int) -> float:
+def parse_number(cell: str, row: int) -> float:
+    """A finite number; anything else is an IngestError naming the row."""
     try:
-        return float(cell)
+        v = float(cell)
     except ValueError:
         raise IngestError(f"non-numeric value {cell!r}", row=row) from None
+    if not math.isfinite(v):
+        raise IngestError(f"non-finite value {cell!r}", row=row)
+    return v
 
 
-def _check_order(dates: list[date], rownums: list[int]):
-    for (a, b), rn in zip(zip(dates, dates[1:]), rownums[1:]):
-        if a >= b:
-            raise IngestError(f"dates out of order or duplicated at {b}", row=rn)
+def _parse_price(cell: str, row: int) -> float:
+    v = parse_number(cell, row)
+    if v <= 0:
+        raise IngestError(f"non-positive price {v}", row=row)
+    return v
+
+
+def _parse_day_count(cell: str, row: int) -> float:
+    """A number, or a date as real days since 1970-01-01."""
+    try:
+        return float((_parse_date(cell, row) - _EPOCH).days)
+    except IngestError:
+        return parse_number(cell, row)
+
+
+def _parse_series(
+    table: RawTable,
+    date_col: int,
+    value_col: int,
+    parse_value: Callable[[str, int], float],
+    asset_id: str,
+    transform: Transform,
+    missing: str | None = None,
+) -> PriceSeries:
+    """One (date, value) pair per row, dates strictly increasing; rows whose
+    value cell equals ``missing`` are dropped."""
+    dates: list[date] = []
+    values: list[float] = []
+    for i, row in enumerate(table.rows, start=2):
+        if row[value_col] == missing:
+            continue
+        d = _parse_date(row[date_col], i)
+        if dates and d <= dates[-1]:
+            raise IngestError(f"dates out of order or duplicated at {d}", row=i)
+        dates.append(d)
+        values.append(parse_value(row[value_col], i))
+    if not dates:
+        raise IngestError("no observations")
+    return PriceSeries(
+        asset_id=asset_id,
+        calendar=TradingCalendar(tuple(dates)),
+        values=np.array(values),
+        transform=transform,
+    )
+
+
+def _two_columns(table: RawTable) -> RawTable:
+    if len(table.header) != 2:
+        raise IngestError(f"expected 2 columns, got {len(table.header)}")
+    return table
 
 
 def parse_fred_csv(text: str) -> PriceSeries:
     """FRED shape: a date column then one value column; '.' marks a missing
     observation and the row is dropped.  Transform is Level (yields in
     percent)."""
-    table = read_table(text)
-    if len(table.header) != 2:
-        raise IngestError(f"expected 2 columns, got {len(table.header)}")
-    series_id = table.header[1]
-    dates: list[date] = []
-    values: list[float] = []
-    rownums: list[int] = []
-    for i, row in enumerate(table.rows, start=2):
-        if row[1] == ".":
-            continue
-        dates.append(_parse_date(row[0], i))
-        values.append(_parse_value(row[1], i))
-        rownums.append(i)
-    if not dates:
-        raise IngestError("no observations after dropping missing values")
-    _check_order(dates, rownums)
-    return PriceSeries(
-        asset_id=series_id,
-        calendar=TradingCalendar(tuple(dates)),
-        values=np.array(values),
-        transform=Transform.LEVEL,
+    table = _two_columns(read_table(text))
+    return _parse_series(table, 0, 1, parse_number, table.header[1], Transform.LEVEL, missing=".")
+
+
+def write_fred_csv(series: PriceSeries) -> str:
+    """The FRED CSV that ``parse_fred_csv`` reads back."""
+    return write_table(
+        ("DATE", series.asset_id),
+        ((d.isoformat(), format_number(v)) for d, v in zip(series.calendar.dates, series.values)),
     )
 
 
@@ -108,32 +167,9 @@ def parse_ohlc_csv(text: str, asset_id: str = "equity") -> PriceSeries:
         raise IngestError("missing Date column")
     if "adj close" not in lower:
         raise IngestError("missing Adj Close column")
-    date_col = lower.index("date")
-    close_col = lower.index("adj close")
-    dates: list[date] = []
-    values: list[float] = []
-    rownums: list[int] = []
-    for i, row in enumerate(table.rows, start=2):
-        d = _parse_date(row[date_col], i)
-        v = _parse_value(row[close_col], i)
-        if v <= 0:
-            raise IngestError(f"non-positive price {v}", row=i)
-        dates.append(d)
-        values.append(v)
-        rownums.append(i)
-    if not dates:
-        raise IngestError("no price rows")
-    _check_order(dates, rownums)
-    return PriceSeries(
-        asset_id=asset_id,
-        calendar=TradingCalendar(tuple(dates)),
-        values=np.array(values),
-        transform=Transform.LOG,
+    return _parse_series(
+        table, lower.index("date"), lower.index("adj close"), _parse_price, asset_id, Transform.LOG
     )
-
-
-_NUMERIC_ATTRS = ("arena_score", "frontier_gap", "agi_shift")
-_TEXT_ATTRS = ("lab", "country")
 
 
 def parse_event_table(text: str) -> EventSet:
@@ -164,39 +200,28 @@ def parse_event_table(text: str) -> EventSet:
                 attributes[attr] = row[idx[attr]]
         for attr in _NUMERIC_ATTRS:
             if attr in idx and row[idx[attr]]:
-                attributes[attr] = _parse_value(row[idx[attr]], i)
+                attributes[attr] = parse_number(row[idx[attr]], i)
         events.append(Event(date=d, name=name, openness=openness, attributes=attributes))
     return EventSet(tuple(events))
+
+
+def write_event_csv(events: EventSet) -> str:
+    """The event CSV that ``parse_event_table`` reads back, every column of
+    EVENT_COLUMNS present."""
+    rows = (
+        [e.date.isoformat(), e.name, "x" if e.openness is Openness.OPEN else ""]
+        + [str(e.attr(attr) or "") for attr in _TEXT_ATTRS]
+        + [format_number(e.attr(attr)) for attr in _NUMERIC_ATTRS]
+        for e in events
+    )
+    return write_table(EVENT_COLUMNS, rows)
 
 
 def parse_forecast_series(text: str) -> PriceSeries:
     """Forecast table: date column plus median-forecast column.  Forecast
     values may be dates (converted to real days since 1970-01-01) or
     already-numeric day counts; '.' rows are dropped as in the FRED shape."""
-    table = read_table(text)
-    if len(table.header) != 2:
-        raise IngestError(f"expected 2 columns, got {len(table.header)}")
-    dates: list[date] = []
-    values: list[float] = []
-    rownums: list[int] = []
-    for i, row in enumerate(table.rows, start=2):
-        if row[1] == ".":
-            continue
-        d = _parse_date(row[0], i)
-        cell = row[1]
-        try:
-            v = float(cell)
-        except ValueError:
-            v = float((_parse_date(cell, i) - _EPOCH).days)
-        dates.append(d)
-        values.append(v)
-        rownums.append(i)
-    if not dates:
-        raise IngestError("no observations after dropping missing values")
-    _check_order(dates, rownums)
-    return PriceSeries(
-        asset_id=table.header[1],
-        calendar=TradingCalendar(tuple(dates)),
-        values=np.array(values),
-        transform=Transform.LEVEL,
+    table = _two_columns(read_table(text))
+    return _parse_series(
+        table, 0, 1, _parse_day_count, table.header[1], Transform.LEVEL, missing="."
     )

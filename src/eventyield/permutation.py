@@ -62,15 +62,14 @@ ESTIMATORS = tuple(s.value for s in Statistic if not s.is_difference)
 @dataclass(frozen=True)
 class PermutationSpec:
     """Placebo settings: replication count, statistic, window half-width,
-    seed, and draw sizes (defaulting to the real group sizes)."""
+    seed, and the group-level draw size (defaulting to the real group
+    size)."""
 
     replications: int
     statistic: Statistic
     window: int
     seed: int
     k: int | None = None
-    k_a: int | None = None
-    k_b: int | None = None
     hac_lags: int = 30
 
     def __post_init__(self):
@@ -207,8 +206,8 @@ def permutation_comparison(
     series: PriceSeries, groups: GroupAssignment, spec: PermutationSpec
 ) -> PermutationResult:
     """Placebo distribution of the A-B difference statistic: per replication
-    the pooled real event dates are relabeled into disjoint samples of sizes
-    K_A and K_B."""
+    the pooled real event dates are relabeled into disjoint samples of the
+    real group sizes."""
     if not spec.statistic.is_difference:
         raise PermutationError("comparison permutation needs a difference statistic")
     returns = to_returns(series)
@@ -216,17 +215,15 @@ def permutation_comparison(
     real_a = align_events(groups.group_a, cal)
     real_b = align_events(groups.group_b, cal)
     pool = real_a.dates() + real_b.dates()
-    k_a = spec.k_a if spec.k_a is not None else len(groups.group_a)
-    k_b = spec.k_b if spec.k_b is not None else len(groups.group_b)
-    if k_a + k_b > len(pool):
-        raise PermutationError(f"pooled dates ({len(pool)}) smaller than K_A+K_B={k_a + k_b}")
-    if k_a < 1 or k_b < 1:
-        raise PermutationError("both draw sizes must be >= 1")
+    if len(real_a) == 0 or len(real_b) == 0:
+        raise PermutationError("both groups need at least one event")
+
+    k_a = len(real_a)
 
     def relabel(rng: np.random.Generator) -> GroupAssignment:
         perm = rng.permutation(len(pool))
         sample_a = _dates_to_events(sorted(pool[i] for i in perm[:k_a]), prefix="a")
-        sample_b = _dates_to_events(sorted(pool[i] for i in perm[k_a : k_a + k_b]), prefix="b")
+        sample_b = _dates_to_events(sorted(pool[i] for i in perm[k_a:]), prefix="b")
         return GroupAssignment(sample_a, sample_b, "A", "B")
 
     real = GroupAssignment(real_a, real_b, groups.label_a, groups.label_b)

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .design import StudySpec, build_design
-from .errors import ConfigError
+from .design import StudySpec, build_design, event_positions
+from .errors import ConfigError, IngestError
 from .estimators import (
     CumulativePath,
     _two_sided_p,
@@ -39,10 +39,14 @@ from .events import (
     split_by_sign,
 )
 from .ingest import (
+    format_number,
     parse_event_table,
-    parse_fred_csv,
     parse_forecast_series,
+    parse_fred_csv,
+    parse_number,
     parse_ohlc_csv,
+    read_table,
+    write_table,
 )
 from .permutation import (
     ESTIMATORS,
@@ -54,7 +58,10 @@ from .permutation import (
 )
 from .series import PriceSeries, Transform, to_returns
 
-_FLOAT = "%.12g"
+PATH_COLUMNS = ("relative_day", "estimate_bp", "se", "ci90_lo", "ci90_hi", "ci95_lo", "ci95_hi")
+PLACEBO_COLUMNS = (
+    "relative_day", "observed", "placebo_mean", "band90_lo", "band90_hi", "band95_lo", "band95_hi"
+)
 
 
 @dataclass(frozen=True)
@@ -200,6 +207,22 @@ def load_events(config: StudyConfig) -> tuple[EventSet, GroupAssignment | EventS
     return events, groups
 
 
+def check_windows(
+    config: StudyConfig, groups: GroupAssignment | EventSet, series: PriceSeries
+) -> None:
+    """DesignError unless every event's +-window fits the calendar that the
+    configured estimator and placebo statistic use: the return calendar for a
+    regression (ols, lad), the price calendar for the median."""
+    names = [config.estimator] + ([config.permutation.statistic] if config.permutation else [])
+    if any(Statistic(name).uses_regression for name in names):
+        cal = to_returns(series).calendar
+    else:
+        cal = series.calendar
+    sets = (groups.group_a, groups.group_b) if isinstance(groups, GroupAssignment) else (groups,)
+    for events in sets:
+        event_positions(align_events(events, cal), cal, config.window)
+
+
 def resolve_split(events: EventSet, rule: str) -> GroupAssignment | EventSet:
     """Split rules: pooled | openness | median:<attr> | sign:<attr> |
     country:<pivot> | interaction:<open|closed>:<attr>."""
@@ -290,110 +313,55 @@ def render_table(
 # --- CSV emission ----------------------------------------------------------
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else _FLOAT % x
+def _emit(out_file: str | Path, header, rel_days, columns, scale: float) -> Path:
+    """One row per relative day: the day, then each column scaled, then
+    empty cells up to the header's width."""
+    out_file = Path(out_file)
+    padding = [""] * (len(header) - 1 - len(columns))
+    rows = (
+        [str(int(r))] + [format_number(float(c[i]) * scale) for c in columns] + padding
+        for i, r in enumerate(rel_days)
+    )
+    out_file.write_text(write_table(header, rows), encoding="utf-8", newline="\n")
+    return out_file
 
 
 def emit_paths(path: CumulativePath, out_file: str | Path, scale: float = 100.0) -> Path:
     """Write one cumulative path as CSV (estimates scaled to basis points
     for percent-point series; pass scale=1.0 for log-return series)."""
-    out_file = Path(out_file)
-    lines = ["relative_day,estimate_bp,se,ci90_lo,ci90_hi,ci95_lo,ci95_hi"]
-    for i, r in enumerate(path.rel_days):
-        est = float(path.estimates[i]) * scale
-        if path.ses is None:
-            cells = [str(int(r)), _fmt(est), "", "", "", "", ""]
-        else:
-            cells = [
-                str(int(r)),
-                _fmt(est),
-                _fmt(float(path.ses[i]) * scale),
-                _fmt(float(path.ci90[0][i]) * scale),
-                _fmt(float(path.ci90[1][i]) * scale),
-                _fmt(float(path.ci95[0][i]) * scale),
-                _fmt(float(path.ci95[1][i]) * scale),
-            ]
-        lines.append(",".join(cells))
-    out_file.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return out_file
+    columns = [path.estimates]
+    if path.ses is not None:
+        columns += [path.ses, *path.ci90, *path.ci95]
+    return _emit(out_file, PATH_COLUMNS, path.rel_days, columns, scale)
 
 
 def emit_placebo(result: PermutationResult, out_file: str | Path, scale: float = 100.0) -> Path:
-    out_file = Path(out_file)
-    lines = ["relative_day,observed,placebo_mean,band90_lo,band90_hi,band95_lo,band95_hi"]
-    lo90, hi90 = result.bands[0.90]
-    lo95, hi95 = result.bands[0.95]
-    for i, r in enumerate(result.rel_days):
-        cells = [
-            str(int(r)),
-            _fmt(float(result.observed[i]) * scale),
-            _fmt(float(result.placebo_mean[i]) * scale),
-            _fmt(float(lo90[i]) * scale),
-            _fmt(float(hi90[i]) * scale),
-            _fmt(float(lo95[i]) * scale),
-            _fmt(float(hi95[i]) * scale),
-        ]
-        lines.append(",".join(cells))
-    out_file.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return out_file
+    columns = [result.observed, result.placebo_mean, *result.bands[0.90], *result.bands[0.95]]
+    return _emit(out_file, PLACEBO_COLUMNS, result.rel_days, columns, scale)
 
 
 def read_path_csv(path: str | Path, label: str | None = None) -> CumulativePath:
     """Reconstruct a CumulativePath from an emitted path CSV; p-values are
-    recomputed from the estimate/SE ratio."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    if header[0] != "relative_day":
-        raise ConfigError(f"{path}: not a path CSV")
-    days, ests, ses = [], [], []
-    have_se = True
-    for line in lines[1:]:
-        cells = line.split(",")
-        days.append(int(cells[0]))
-        ests.append(float(cells[1]))
-        if cells[2] == "":
-            have_se = False
-        else:
-            ses.append(float(cells[2]))
-    est = np.array(ests)
-    if not have_se:
-        return CumulativePath(label=label or Path(path).stem, rel_days=np.array(days), estimates=est)
-    se = np.array(ses)
+    recomputed from the estimate/SE ratio.  Any other file is a ConfigError
+    naming it."""
+    try:
+        table = read_table(Path(path).read_text(encoding="utf-8"))
+        if table.header != PATH_COLUMNS:
+            raise IngestError(f"not a path CSV (expected the columns {', '.join(PATH_COLUMNS)})")
+        rows = list(enumerate(table.rows, start=2))
+        days = np.array([int(parse_number(row[0], i)) for i, row in rows])
+        est = np.array([parse_number(row[1], i) for i, row in rows])
+        se = None
+        if any(row[2] for _, row in rows):
+            se = np.array([parse_number(row[2], i) for i, row in rows])
+    except IngestError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    label = label or Path(path).stem
+    if se is None:
+        return CumulativePath(label=label, rel_days=days, estimates=est)
     return CumulativePath(
-        label=label or Path(path).stem,
-        rel_days=np.array(days),
-        estimates=est,
-        ses=se,
-        pvalues=_two_sided_p(est, se),
+        label=label, rel_days=days, estimates=est, ses=se, pvalues=_two_sided_p(est, se)
     )
-
-
-# --- writers for the ingest shapes (round-trip + synth output) -------------
-
-
-def write_fred_csv(series: PriceSeries) -> str:
-    lines = [f"DATE,{series.asset_id}"]
-    for d, v in zip(series.calendar.dates, series.values):
-        lines.append(f"{d.isoformat()},{_FLOAT % v}")
-    return "\n".join(lines) + "\n"
-
-
-def write_event_csv(events: EventSet) -> str:
-    header = "date,model,open,lab,country,arena_score,frontier_gap,agi_shift"
-    lines = [header]
-    for e in events:
-        cells = [
-            e.date.isoformat(),
-            e.name,
-            "x" if e.openness.value == "open" else "",
-            str(e.attr("lab") or ""),
-            str(e.attr("country") or ""),
-        ]
-        for attr in ("arena_score", "frontier_gap", "agi_shift"):
-            v = e.attr(attr)
-            cells.append("" if v is None else _FLOAT % float(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 # --- orchestration ---------------------------------------------------------
@@ -502,13 +470,15 @@ def _emit_permutation(series, groups, config: StudyConfig, label: str, out_dir: 
 
 def _for_each_asset(config: StudyConfig, stages) -> list[Path]:
     _, groups = load_events(config)
+    assets = [(asset.label, load_asset(asset)) for asset in config.assets]
+    for _, series in assets:
+        check_windows(config, groups, series)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for asset in config.assets:
-        series = load_asset(asset)
+    for label, series in assets:
         for stage in stages:
-            written.extend(stage(series, groups, config, asset.label, out_dir))
+            written.extend(stage(series, groups, config, label, out_dir))
     return written
 
 

@@ -252,3 +252,52 @@ def test_config_value_out_of_range(tmp_path, synth_data, extra, message):
     cfg = make_config(tmp_path, synth_data, **extra)
     r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
     assert_clean_failure(r, message)
+
+
+def test_table_rejects_a_placebo_csv(tmp_path, synth_data):
+    cfg = make_config(tmp_path, synth_data, permutation={"replications": 2})
+    runner = CliRunner()
+    r = runner.invoke(main, ["run", "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+    placebo = tmp_path / "out" / "synth_open_placebo.csv"
+    r = runner.invoke(main, ["table", str(placebo)])
+    assert_clean_failure(r, f"{placebo}: not a path CSV")
+
+
+def test_validate_rejects_a_non_finite_price(tmp_path, synth_data):
+    prices = synth_data / "synth_prices.csv"
+    lines = prices.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    prices.write_text("\n".join(lines) + "\n")
+    cfg = make_config(tmp_path, synth_data)
+    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, "row 6: non-finite value 'nan'")
+
+
+# The synth events sit at price positions 56, 96, ..., 336 of 400, so a
+# window of 56 reaches the first price date but not the first return date.
+@pytest.mark.parametrize(
+    "extra",
+    [{"estimator": "ols"}, {"estimator": "lad"},
+     {"estimator": "median", "permutation": {"replications": 2, "statistic": "ols"}}],
+    ids=["ols", "lad", "median-with-ols-bands"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_window_leaving_the_calendar(tmp_path, synth_data, command, extra):
+    cfg = make_config(tmp_path, synth_data, window=56, **extra)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, "event synthetic-0 on ")
+    assert "+-56 day window leaves the calendar" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_median_window_uses_the_price_calendar(tmp_path, synth_data):
+    cfg = make_config(tmp_path, synth_data, window=56, estimator="median")
+    runner = CliRunner()
+    r = runner.invoke(main, ["validate", "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["run", "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+    cfg = make_config(tmp_path, synth_data, window=57, estimator="median")
+    r = runner.invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, "+-57 day window leaves the calendar")

@@ -2,16 +2,25 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eventyield import (
+    Event,
+    EventSet,
     IngestError,
     Openness,
+    PriceSeries,
+    TradingCalendar,
     Transform,
     parse_event_table,
     parse_forecast_series,
     parse_fred_csv,
     parse_ohlc_csv,
     read_table,
+    write_event_csv,
+    write_fred_csv,
+    write_table,
 )
 
 FRED = """DATE,DGS30
@@ -46,6 +55,11 @@ class TestReadTable:
         with pytest.raises(IngestError):
             read_table("")
 
+    def test_write_table_quotes_only_when_needed(self):
+        text = write_table(("a", "b"), [("1", ""), ("x,y", 'say "hi"'), ("two\nlines", "c")])
+        assert text == 'a,b\n1,\n"x,y","say ""hi"""\n"two\nlines",c\n'
+        assert read_table(text).rows == (("1", ""), ("x,y", 'say "hi"'), ("two\nlines", "c"))
+
 
 class TestParseFred:
     def test_basic(self):
@@ -73,6 +87,12 @@ class TestParseFred:
         with pytest.raises(IngestError):
             parse_fred_csv("DATE,DGS30\n2023-01-03,.\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value(self, cell):
+        with pytest.raises(IngestError, match="non-finite") as exc:
+            parse_fred_csv(f"DATE,DGS30\n2023-01-03,3.8\n2023-01-04,{cell}\n")
+        assert exc.value.row == 3
+
 
 class TestParseOhlc:
     def test_adj_close_selected(self):
@@ -94,6 +114,24 @@ class TestParseOhlc:
         with pytest.raises(IngestError) as exc:
             parse_ohlc_csv(bad)
         assert exc.value.row == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_price(self, cell):
+        text = OHLC.replace("125.50", cell)
+        with pytest.raises(IngestError, match="non-finite") as exc:
+            parse_ohlc_csv(text)
+        assert exc.value.row == 3
+
+    def test_missing_marker_is_not_a_price(self):
+        with pytest.raises(IngestError, match="non-numeric") as exc:
+            parse_ohlc_csv(OHLC.replace("125.50", "."))
+        assert exc.value.row == 3
+
+    def test_out_of_order_dates_name_the_row(self):
+        text = OHLC.replace("2023-01-04", "2023-01-02")
+        with pytest.raises(IngestError, match="out of order") as exc:
+            parse_ohlc_csv(text)
+        assert exc.value.row == 3
 
 
 class TestParseEventTable:
@@ -135,6 +173,13 @@ class TestParseEventTable:
         assert a.attr("lab") == "Meta"
         assert b.attr("arena_score") is None
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_attribute(self, cell):
+        text = f"date,model,open,arena_score\n2023-01-02,a,x,1200\n2023-01-03,b,,{cell}\n"
+        with pytest.raises(IngestError, match="non-finite") as exc:
+            parse_event_table(text)
+        assert exc.value.row == 3
+
     def test_iso_and_us_dates_both_accepted(self):
         es = parse_event_table("date,model,open\n11/30/2022,a,\n2023-01-03,b,\n")
         assert es.events[0].date == date(2022, 11, 30)
@@ -161,3 +206,60 @@ class TestParseForecast:
     def test_missing_marker_dropped(self):
         s = parse_forecast_series("date,v\n2023-01-03,.\n2023-01-04,100\n")
         assert len(s.values) == 1
+
+    def test_non_finite_value(self):
+        with pytest.raises(IngestError, match="non-finite") as exc:
+            parse_forecast_series("date,v\n2023-01-03,100\n2023-01-04,nan\n")
+        assert exc.value.row == 3
+
+
+# Cells survive read_table's stripping only without surrounding whitespace,
+# and files are read with universal newlines, which turn a bare CR into LF.
+_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"), min_size=1
+).filter(lambda t: t == t.strip())
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _g(x) -> str | None:
+    return None if x is None else "%.12g" % x
+
+
+@st.composite
+def _event(draw) -> Event:
+    texts = {k: draw(st.none() | _text) for k in ("lab", "country")}
+    numbers = {k: draw(st.none() | _finite) for k in ("arena_score", "frontier_gap", "agi_shift")}
+    return Event(
+        date=draw(st.dates()),
+        name=draw(_text),
+        openness=draw(st.sampled_from(Openness)),
+        attributes={k: v for k, v in {**texts, **numbers}.items() if v is not None},
+    )
+
+
+class TestWriterRoundTrips:
+    @given(st.lists(_event(), max_size=8, unique_by=lambda e: (e.date, e.name)))
+    def test_event_csv(self, events):
+        es = EventSet(tuple(events))
+        back = parse_event_table(write_event_csv(es))
+        assert len(back) == len(es)
+        for a, b in zip(es, back):
+            assert (b.date, b.name, b.openness) == (a.date, a.name, a.openness)
+            for attr in ("lab", "country"):
+                assert b.attr(attr) == a.attr(attr)
+            for attr in ("arena_score", "frontier_gap", "agi_shift"):
+                assert _g(b.attr(attr)) == _g(a.attr(attr))
+
+    @given(_text, st.lists(st.tuples(st.dates(), _finite), min_size=1, max_size=20,
+                           unique_by=lambda dv: dv[0]))
+    def test_fred_csv(self, series_id, observations):
+        observations.sort()
+        s = PriceSeries(
+            asset_id=series_id,
+            calendar=TradingCalendar(tuple(d for d, _ in observations)),
+            values=np.array([v for _, v in observations]),
+        )
+        back = parse_fred_csv(write_fred_csv(s))
+        assert back.asset_id == series_id
+        assert back.calendar.dates == s.calendar.dates
+        assert [_g(v) for v in back.values] == [_g(v) for v in s.values]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eventyield import (
+    EventSet,
     GroupAssignment,
     Openness,
     PermutationError,
@@ -161,14 +162,10 @@ class TestComparison:
 
     def test_draw_sizes_validated(self):
         s = walk()
-        g = self.two_groups(s)
+        a = self.two_groups(s).group_a
+        g = GroupAssignment(a, EventSet(()), "Open", "Closed")
         spec = PermutationSpec(
-            replications=5,
-            statistic=Statistic.MEDIAN_DIFFERENCE,
-            window=10,
-            seed=0,
-            k_a=5,
-            k_b=5,
+            replications=5, statistic=Statistic.MEDIAN_DIFFERENCE, window=10, seed=0
         )
         with pytest.raises(PermutationError):
             permutation_comparison(s, g, spec)

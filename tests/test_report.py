@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eventyield import (
     ConfigError,
@@ -12,7 +14,9 @@ from eventyield import (
     GroupAssignment,
     Openness,
     SynthSpec,
+    PermutationResult,
     emit_paths,
+    emit_placebo,
     format_cell,
     generate_walk,
     inject_effects,
@@ -24,7 +28,14 @@ from eventyield import (
     write_event_csv,
     write_fred_csv,
 )
-from eventyield.report import AssetConfig, PermutationConfig, StudyConfig, read_path_csv, resolve_split
+from eventyield.report import (
+    PATH_COLUMNS,
+    AssetConfig,
+    PermutationConfig,
+    StudyConfig,
+    read_path_csv,
+    resolve_split,
+)
 from conftest import make_events
 
 
@@ -90,6 +101,13 @@ class TestRenderTable:
             render_table([])
 
 
+_bounded = st.floats(-1e100, 1e100)
+
+
+def _g(values) -> list[str]:
+    return ["%.12g" % v for v in values]
+
+
 class TestPathCsvRoundTrip:
     def test_with_inference(self, tmp_path):
         days = np.arange(-3, 4)
@@ -126,6 +144,58 @@ class TestPathCsvRoundTrip:
         f.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
             read_path_csv(f)
+
+    def test_placebo_csv_rejected(self, tmp_path):
+        result = PermutationResult(
+            rel_days=np.arange(-1, 2),
+            observed=np.zeros(3),
+            placebo_mean=np.zeros(3),
+            bands={0.90: (np.zeros(3), np.ones(3)), 0.95: (np.zeros(3), np.ones(3))},
+            replication_count=2,
+        )
+        f = emit_placebo(result, tmp_path / "x_open_placebo.csv")
+        with pytest.raises(ConfigError, match="x_open_placebo.csv: not a path CSV"):
+            read_path_csv(f)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,2.0,0.5,1,2,3", "row 3: expected 7 cells, got 6"),
+         ("1,abc,0.5,1,2,3,4", "row 3: non-numeric value 'abc'"),
+         ("1,2.0,,1,2,3,4", "row 3: non-numeric value ''")],
+        ids=["short", "non-numeric", "missing-se"],
+    )
+    def test_bad_row_named(self, tmp_path, row, message):
+        f = tmp_path / "p.csv"
+        f.write_text(",".join(PATH_COLUMNS) + "\n0,1.0,0.5,1,2,3,4\n" + row + "\n")
+        with pytest.raises(ConfigError, match=f"p.csv: {message}"):
+            read_path_csv(f)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1000, 1000), _bounded, st.floats(1e-100, 1e100)),
+            min_size=1, max_size=30,
+        ),
+        st.booleans(),
+    )
+    def test_emit_then_read(self, tmp_path_factory, rows, with_se):
+        days = np.array([r for r, _, _ in rows])
+        est = np.array([e for _, e, _ in rows])
+        ses = np.array([s for _, _, s in rows])
+        if with_se:
+            path = CumulativePath(
+                label="p", rel_days=days, estimates=est, ses=ses, pvalues=np.full(len(rows), 0.5),
+                ci90=(est - ses, est + ses), ci95=(est - 2 * ses, est + 2 * ses),
+            )
+        else:
+            path = CumulativePath(label="p", rel_days=days, estimates=est)
+        f = emit_paths(path, tmp_path_factory.mktemp("paths") / "p.csv")
+        back = read_path_csv(f)
+        assert back.rel_days.tolist() == days.tolist()
+        assert _g(back.estimates) == _g(est * 100.0)
+        if with_se:
+            assert _g(back.ses) == _g(ses * 100.0)
+        else:
+            assert back.ses is None and back.pvalues is None
 
 
 class TestWriterRoundTrips:
