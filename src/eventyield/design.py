@@ -105,7 +105,7 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
 
     Every event's full +-W window must lie inside the return calendar;
     rows between event windows are retained (they identify the constant).
-    Perfect collinearity is detected and raised rather than dropped.
+    A perfectly collinear design is built as it is; the fit rejects it.
     """
     cal = returns.calendar
     w = spec.window
@@ -129,16 +129,13 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
         np.add.at(x, (rows, g * width + w + offsets), 1.0)
     x[:, -1] = 1.0
 
-    dm = DesignMatrix(
+    return DesignMatrix(
         row_dates=cal.dates[start : end + 1],
         response=returns.returns[start : end + 1],
         matrix=x,
         window=w,
         group_labels=tuple(label for label, _ in groups),
     )
-    if dm.rank < n_cols:
-        raise DesignError("design matrix is perfectly collinear")
-    return dm
 
 
 def event_positions(events: EventSet, calendar: TradingCalendar, w: int) -> list[int]:

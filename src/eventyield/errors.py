@@ -28,11 +28,11 @@ class EventError(EventYieldError):
 
 
 class DesignError(EventYieldError):
-    """Design matrix cannot be built (window truncation, collinearity, ...)."""
+    """Design matrix cannot be built (empty group, window truncation, ...)."""
 
 
 class EstimationError(EventYieldError):
-    """Estimation failure: rank deficiency, solver non-convergence."""
+    """Estimation failure: collinear design, solver non-convergence."""
 
 
 class PermutationError(EventYieldError):

@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.stats import norm
 
 from .design import RANK_TOL, DesignMatrix
 from .errors import EstimationError
@@ -65,18 +62,26 @@ class CumulativePath:
     ci95: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _check_rank(design: DesignMatrix):
-    if design.rank < design.n_cols:
-        raise EstimationError("design matrix is rank deficient")
+def _check_rank(design: DesignMatrix, rank: int):
+    if rank < design.n_cols:
+        raise EstimationError("design matrix is perfectly collinear")
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use so that only a LAD
+    fit pays for loading ``scipy.optimize``."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def fit_ols(design: DesignMatrix) -> RegressionFit:
-    """Least squares via SVD; requires full column rank."""
-    _check_rank(design)
+    """Least squares via SVD; requires full column rank.  ``lstsq`` returns
+    the rank of the matrix it factorises, under the same RANK_TOL rule as
+    ``DesignMatrix.rank``, so the fit is one factorisation."""
     x, y = design.matrix, design.response
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_TOL)
-    if rank < design.n_cols:
-        raise EstimationError("design matrix is rank deficient")
+    _check_rank(design, rank)
     resid = y - x @ coef
     return RegressionFit(design, coef, resid, float(resid @ resid), "ols")
 
@@ -90,7 +95,9 @@ def fit_lad(design: DesignMatrix) -> RegressionFit:
     compressed-column form HiGHS takes, which is what ``linprog`` would
     convert a dense block to: the model, and so the solution, is the same.
     """
-    _check_rank(design)
+    import scipy.sparse as sp
+
+    _check_rank(design, design.rank)
     x, y = design.matrix, design.response
     n, p = x.shape
     c = np.concatenate([np.zeros(p), np.ones(2 * n)])
@@ -128,9 +135,12 @@ def hac_covariance(design: DesignMatrix, fit: RegressionFit, lag: int) -> HacCov
 
 
 def _two_sided_p(est: np.ndarray, se: np.ndarray) -> np.ndarray:
+    # the normal survival function sf(z) is ndtr(-z), as in scipy.stats.norm
+    from scipy.special import ndtr
+
     p = np.ones_like(est)
     nz = se > 0
-    p[nz] = 2.0 * norm.sf(np.abs(est[nz]) / se[nz])
+    p[nz] = 2.0 * ndtr(-(np.abs(est[nz]) / se[nz]))
     exact = (se == 0) & (est != 0)
     p[exact] = 0.0
     return p

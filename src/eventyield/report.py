@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .design import StudySpec, build_design, event_positions
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, EventYieldError, IngestError
 from .estimators import (
     CumulativePath,
     _two_sided_p,
@@ -141,13 +141,32 @@ def _permutation(value) -> PermutationConfig | None:
     )
 
 
+def _read_file(path: str | Path, parse):
+    """``parse`` applied to the UTF-8 text of the file at ``path``.  A file
+    that cannot be read, is not UTF-8, or that ``parse`` rejects is a
+    one-line ConfigError naming the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        problem = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        problem = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}: " if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        problem = f"invalid YAML: {where}{problem}"
+    except EventYieldError as exc:
+        problem = str(exc)
+    raise ConfigError(f"{path}: {problem}")
+
+
 def load_config(path: str | Path) -> StudyConfig:
     """Read the YAML study document; see README for the schema.  A missing
     key or a value of the wrong type is a ConfigError naming the key."""
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = _read_file(path, yaml.safe_load)
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a mapping")
+        raise ConfigError(f"{path}: config must be a mapping")
     base = Path(path).parent
     try:
         entries = doc["assets"]
@@ -181,20 +200,17 @@ def load_config(path: str | Path) -> StudyConfig:
 
 
 def load_asset(asset: AssetConfig) -> PriceSeries:
-    with open(asset.path, encoding="utf-8") as fh:
-        text = fh.read()
     if asset.kind == "ohlc":
-        return parse_ohlc_csv(text, asset_id=asset.label)
+        return _read_file(asset.path, lambda text: parse_ohlc_csv(text, asset_id=asset.label))
     if asset.kind == "forecast":
-        return parse_forecast_series(text)
-    return parse_fred_csv(text)
+        return _read_file(asset.path, parse_forecast_series)
+    return _read_file(asset.path, parse_fred_csv)
 
 
 def load_events(config: StudyConfig) -> tuple[EventSet, GroupAssignment | EventSet]:
     """The study's events, restricted to ``config.years``, and their split
     by ``config.split``; a split that leaves a group empty is an error."""
-    with open(config.events_path, encoding="utf-8") as fh:
-        events = parse_event_table(fh.read())
+    events = _read_file(config.events_path, parse_event_table)
     if config.years:
         events = events.filter_years(*config.years)
     if len(events) == 0:
@@ -340,22 +356,24 @@ def emit_placebo(result: PermutationResult, out_file: str | Path, scale: float =
     return _emit(out_file, PLACEBO_COLUMNS, result.rel_days, columns, scale)
 
 
+def _parse_path_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    table = read_table(text)
+    if table.header != PATH_COLUMNS:
+        raise IngestError(f"not a path CSV (expected the columns {', '.join(PATH_COLUMNS)})")
+    rows = list(enumerate(table.rows, start=2))
+    days = np.array([int(parse_number(row[0], i)) for i, row in rows])
+    est = np.array([parse_number(row[1], i) for i, row in rows])
+    se = None
+    if any(row[2] for _, row in rows):
+        se = np.array([parse_number(row[2], i) for i, row in rows])
+    return days, est, se
+
+
 def read_path_csv(path: str | Path, label: str | None = None) -> CumulativePath:
     """Reconstruct a CumulativePath from an emitted path CSV; p-values are
     recomputed from the estimate/SE ratio.  Any other file is a ConfigError
     naming it."""
-    try:
-        table = read_table(Path(path).read_text(encoding="utf-8"))
-        if table.header != PATH_COLUMNS:
-            raise IngestError(f"not a path CSV (expected the columns {', '.join(PATH_COLUMNS)})")
-        rows = list(enumerate(table.rows, start=2))
-        days = np.array([int(parse_number(row[0], i)) for i, row in rows])
-        est = np.array([parse_number(row[1], i) for i, row in rows])
-        se = None
-        if any(row[2] for _, row in rows):
-            se = np.array([parse_number(row[2], i) for i, row in rows])
-    except IngestError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    days, est, se = _read_file(path, _parse_path_table)
     label = label or Path(path).stem
     if se is None:
         return CumulativePath(label=label, rel_days=days, estimates=est)

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,6 +9,8 @@ import yaml
 from click.testing import CliRunner
 
 from eventyield.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_config(tmp_path, data_dir, name="study.yaml", **extra):
@@ -301,3 +307,107 @@ def test_median_window_uses_the_price_calendar(tmp_path, synth_data):
     cfg = make_config(tmp_path, synth_data, window=57, estimator="median")
     r = runner.invoke(main, ["validate", "--config", str(cfg)])
     assert_clean_failure(r, "+-57 day window leaves the calendar")
+
+
+def test_table_rejects_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"relative_day,estimate_bp,se,ci90_lo,ci90_hi,ci95_lo,ci95_hi\n-1,\xff\n")
+    r = CliRunner().invoke(main, ["table", str(bad)])
+    assert_clean_failure(r, f"{bad}: not UTF-8 text (byte 0xff at offset 63)")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("which", ["config", "asset", "events"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, synth_data, command, which):
+    cfg = make_config(tmp_path, synth_data)
+    bad = {
+        "config": cfg,
+        "asset": synth_data / "synth_prices.csv",
+        "events": synth_data / "synth_events.csv",
+    }[which]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, f"{bad}: not UTF-8 text (byte 0xff")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a: [\n", "invalid YAML: line 2: expected the node content"),
+     ("a:\n\tb: 1\n", "invalid YAML: line 2: found character '\\t'"),
+     ("", "config must be a mapping")],
+    ids=["unclosed-list", "tab", "empty"],
+)
+def test_a_config_that_is_not_a_yaml_mapping_is_named(tmp_path, text, message):
+    cfg = tmp_path / "study.yaml"
+    cfg.write_text(text)
+    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, f"{cfg}: {message}")
+
+
+def test_an_asset_path_that_is_a_directory_is_named(tmp_path, synth_data):
+    folder = synth_data / "folder"
+    folder.mkdir()
+    assets = [{"path": str(folder), "kind": "fred", "label": "x"}]
+    cfg = make_config(tmp_path, synth_data, assets=assets)
+    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, f"{folder}: Is a directory")
+
+
+def test_a_bad_row_names_its_asset_file(tmp_path, synth_data):
+    prices = synth_data / "synth_prices.csv"
+    lines = prices.read_text().splitlines()
+    assets = []
+    for i in range(5):
+        asset = synth_data / f"asset_{i}.csv"
+        if i == 3:
+            lines[5] = lines[5].split(",")[0] + ",nan"
+        asset.write_text("\n".join(lines) + "\n")
+        assets.append({"path": str(asset), "kind": "fred", "label": f"a{i}"})
+    cfg = make_config(tmp_path, synth_data, assets=assets)
+    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
+    assert_clean_failure(r, f"{synth_data / 'asset_3.csv'}: row 6: non-finite value 'nan'")
+
+
+# Probes each CLI step in one fresh interpreter and prints, after each, which
+# of the scipy subpackages that only some statistics use have been imported.
+_MODULE_PROBE = """
+import json, sys
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.stats", "scipy.special")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
+from eventyield.cli import main
+seen = {"import": loaded()}
+for command in json.loads(sys.argv[1]):
+    main(command, standalone_mode=False)
+    seen[command[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def _modules_loaded_after(commands):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_median_and_ols_runs_load_no_optional_scipy(tmp_path, synth_data):
+    median = make_config(
+        tmp_path, synth_data, "median.yaml", output_dir="median", estimator="median",
+        permutation={"replications": 2, "statistic": "median"},
+    )
+    ols = make_config(
+        tmp_path, synth_data, "ols.yaml", output_dir="ols",
+        permutation={"replications": 2, "statistic": "ols"},
+    )
+    seen = _modules_loaded_after(
+        [["validate", "--config", str(median)], ["run", "--config", str(median)]]
+    )
+    assert seen == {"import": [], "validate": [], "run": []}
+    seen = _modules_loaded_after([["run", "--config", str(ols)]])
+    # OLS p-values need the normal tail, and nothing else from scipy
+    assert seen == {"import": [], "run": ["scipy.special"]}

@@ -5,9 +5,12 @@ import pytest
 
 from eventyield import (
     DesignError,
+    EstimationError,
     Openness,
     StudySpec,
     build_design,
+    fit_lad,
+    fit_ols,
     to_returns,
 )
 from conftest import level_series, make_events
@@ -118,16 +121,21 @@ class TestValidation:
         with pytest.raises(DesignError, match="group 'B' has no events"):
             design_for(60, [10, 20], [], window=2)
 
+    @staticmethod
+    def assert_fits_reject(dm):
+        # build_design builds a collinear design; every fit rejects it
+        for fit in (fit_ols, fit_lad):
+            with pytest.raises(EstimationError, match="collinear"):
+                fit(dm)
+
     def test_single_pooled_event_is_collinear(self):
         # with one event and no rows outside the window, the constant is a
         # linear combination of the dummies
-        with pytest.raises(DesignError, match="collinear"):
-            design_for(40, [18], window=15)
+        self.assert_fits_reject(design_for(40, [18], window=15))
 
     def test_constant_offset_groups_are_collinear(self):
         # every B event exactly 5 days after an A event duplicates columns
-        with pytest.raises(DesignError, match="collinear"):
-            design_for(200, [30, 60, 90], [35, 65, 95], window=15)
+        self.assert_fits_reject(design_for(200, [30, 60, 90], [35, 65, 95], window=15))
 
     def test_bad_spec_parameters(self):
         s = level_series([4.0] * 60)

@@ -193,9 +193,12 @@ def counting(calls, name, fn):
     return counted
 
 
-@pytest.mark.parametrize("fit", [fit_ols, fit_lad])
-def test_one_rank_factorisation_per_design(monkeypatch, fit):
-    # build_design and the fit share one rank, computed by one SVD
+@pytest.mark.parametrize(
+    ("fit", "expected"), [(fit_ols, []), (fit_lad, ["rank", "svd"])], ids=["fit_ols", "fit_lad"]
+)
+def test_one_rank_factorisation_per_design(monkeypatch, fit, expected):
+    # build_design computes no rank; an OLS fit takes its rank from lstsq,
+    # and a LAD fit computes it once, by one SVD
     import eventyield.design
 
     calls = []
@@ -207,7 +210,21 @@ def test_one_rank_factorisation_per_design(monkeypatch, fit):
     vals = 4.0 + np.cumsum(0.05 * rng.standard_normal(200))
     _, dm = two_group_design(vals, [40, 100], [55, 123])
     fit(dm)
-    assert calls == ["rank", "svd"]
+    assert calls == expected
+
+
+def test_fit_lad_solves_through_the_module_linprog(monkeypatch):
+    # tracing tools patch estimators.linprog; fit_lad must call that binding
+    import eventyield.estimators
+
+    calls = []
+    monkeypatch.setattr(
+        eventyield.estimators, "linprog", counting(calls, "lp", eventyield.estimators.linprog)
+    )
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        fit_lad(random_design(rng))
+    assert calls == ["lp"] * 3
 
 
 class TestHacCovariance:
@@ -313,6 +330,34 @@ class TestTwoSidedP:
         assert p[0] == pytest.approx(0.0499958, abs=1e-6)
         assert p[1] == 1.0
         assert p[2] == 0.0
+
+    @staticmethod
+    def scipy_stats_oracle(est, se):
+        """The p-values as computed with scipy.stats.norm.sf."""
+        from scipy.stats import norm
+
+        p = np.ones_like(est)
+        nz = se > 0
+        p[nz] = 2.0 * norm.sf(np.abs(est[nz]) / se[nz])
+        p[(se == 0) & (est != 0)] = 0.0
+        return p
+
+    def test_bit_equal_to_norm_sf(self):
+        rng = np.random.default_rng(12)
+        magnitudes = 10.0 ** rng.uniform(-300, 300, size=20000)
+        est = rng.choice([-1.0, 1.0], size=20000) * magnitudes
+        se = 10.0 ** rng.uniform(-300, 300, size=20000)
+        # ratios near the bulk of the normal, where most p-values fall
+        est[:5000] = rng.standard_normal(5000) * 4.0
+        se[:5000] = 1.0
+        edges = np.array([
+            (0.0, 0.0), (0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (0.0, np.inf), (-1.0, np.inf),
+            (1e-300, 1e300), (1e300, 1e-300), (5e-324, 1.0), (1.0, 5e-324), (40.0, 1.0),
+        ])
+        est = np.concatenate([est, edges[:, 0]])
+        se = np.concatenate([se, edges[:, 1]])
+        with np.errstate(over="ignore"):  # the huge ratios overflow to inf
+            assert np.array_equal(_two_sided_p(est, se), self.scipy_stats_oracle(est, se))
 
 
 class TestLadPath:
