@@ -122,29 +122,39 @@ def permute(config_path, seed, replications, statistic, years):
 def synth(output, length, sigma_bp, drift_bp, seed, events_per_group, effect_bp, window):
     """Generate an oracle dataset: a random-walk price file and an event
     table with known injected effects, in the shapes `run` ingests."""
+    try:
+        spec = SynthSpec(
+            length=length, sigma=sigma_bp / 100.0, drift=drift_bp / 100.0, seed=seed,
+            asset_id="SYNTH",
+        )
+        if window < 1:
+            raise ConfigError("--window must be >= 1")
+        usable = length - 2 * (window + 1)
+        total = 2 * events_per_group
+        if total > usable:
+            raise ConfigError(
+                f"2 x --events-per-group {events_per_group} windows of +-{window} days "
+                f"(--window) do not fit in --length {length}"
+            )
+        series = generate_walk(spec)
+        cal = series.calendar
+        step = max(1, usable // (total + 1))
+        dates = [cal.dates[window + 1 + (i + 1) * step] for i in range(total)]
+        evs = []
+        for i, d in enumerate(dates):
+            openness = Openness.OPEN if i % 2 == 0 else Openness.CLOSED
+            evs.append(Event(date=d, name=f"synthetic-{i}", openness=openness))
+        events = EventSet(tuple(evs))
+        groups = split_by_openness(events)
+        series = inject_effects(
+            series,
+            groups,
+            {"Open": {0: effect_bp / 100.0}, "Closed": {0: -effect_bp / 100.0}},
+        )
+    except EventYieldError as exc:
+        raise click.ClickException(str(exc))
     out = Path(output)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(
-        length=length, sigma=sigma_bp / 100.0, drift=drift_bp / 100.0, seed=seed, asset_id="SYNTH"
-    )
-    series = generate_walk(spec)
-    cal = series.calendar
-    n = len(cal)
-    usable = n - 2 * (window + 1)
-    total = 2 * events_per_group
-    step = max(1, usable // (total + 1))
-    dates = [cal.dates[window + 1 + (i + 1) * step] for i in range(total)]
-    evs = []
-    for i, d in enumerate(dates):
-        openness = Openness.OPEN if i % 2 == 0 else Openness.CLOSED
-        evs.append(Event(date=d, name=f"synthetic-{i}", openness=openness))
-    events = EventSet(tuple(evs))
-    groups = split_by_openness(events)
-    series = inject_effects(
-        series,
-        groups,
-        {"Open": {0: effect_bp / 100.0}, "Closed": {0: -effect_bp / 100.0}},
-    )
     (out / "synth_prices.csv").write_text(write_fred_csv(series), encoding="utf-8", newline="\n")
     (out / "synth_events.csv").write_text(write_event_csv(events), encoding="utf-8", newline="\n")
     click.echo(out / "synth_prices.csv")

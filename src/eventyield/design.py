@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -107,21 +108,24 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
     rows between event windows are retained (they identify the constant).
     A perfectly collinear design is built as it is; the fit rejects it.
     """
-    cal = returns.calendar
-    w = spec.window
     groups = spec.group_sets()
-    positions: list[list[int]] = []
-    for label, events in groups:
-        if len(events) == 0:
-            raise DesignError(f"group {label!r} has no events")
-        positions.append(event_positions(events, cal, w))
-    all_pos = [p for ps in positions for p in ps]
+    positions = [event_positions(events, returns.calendar, spec.window) for _, events in groups]
+    return design_at(returns, spec.window, positions, tuple(label for label, _ in groups))
 
-    start = min(all_pos) - w
-    end = max(all_pos) + w
+
+def design_at(returns: ReturnSeries, w: int, positions: Sequence, labels: tuple) -> DesignMatrix:
+    """The design of ``build_design`` from event positions on the return
+    calendar, one sequence per group named in ``labels``; every +-w window
+    must lie inside the calendar."""
+    for label, pos in zip(labels, positions):
+        if len(pos) == 0:
+            raise DesignError(f"group {label!r} has no events")
+    all_pos = np.concatenate(positions)
+    start = int(all_pos.min()) - w
+    end = int(all_pos.max()) + w
     n_rows = end - start + 1
     width = 2 * w + 1
-    n_cols = len(groups) * width + 1
+    n_cols = len(positions) * width + 1
     offsets = np.arange(-w, w + 1)
     x = np.zeros((n_rows, n_cols))
     for g, pos in enumerate(positions):
@@ -130,11 +134,11 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
     x[:, -1] = 1.0
 
     return DesignMatrix(
-        row_dates=cal.dates[start : end + 1],
+        row_dates=returns.calendar.dates[start : end + 1],
         response=returns.returns[start : end + 1],
         matrix=x,
         window=w,
-        group_labels=tuple(label for label, _ in groups),
+        group_labels=labels,
     )
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import RANK_TOL, DesignMatrix
+from .design import RANK_TOL, DesignMatrix, event_positions
 from .errors import EstimationError
-from .events import EventSet
-from .series import PriceSeries, align_event_date
+from .events import EventSet, align_events
+from .series import PriceSeries
 
 Z90 = 1.6449
 Z95 = 1.9600
@@ -246,20 +246,15 @@ def median_change(series: PriceSeries, events: EventSet, w: int) -> CumulativePa
     if w < 1:
         raise EstimationError("window must be >= 1")
     cal = series.calendar
-    vals = series.transformed()
-    positions = []
-    for e in events:
-        anchor = align_event_date(cal, e.date)
-        p = cal.position(anchor)
-        if p - w < 0 or p + w >= len(cal):
-            raise EstimationError(
-                f"event {e.name} on {e.date}: +-{w} day coverage missing"
-            )
-        positions.append(p)
-    pos = np.asarray(positions)
+    positions = np.asarray(event_positions(align_events(events, cal), cal, w))
+    estimates = median_at(series.transformed(), positions, w)
+    return CumulativePath(label="Median", rel_days=np.arange(-w, w + 1), estimates=estimates)
+
+
+def median_at(values: np.ndarray, positions: np.ndarray, w: int) -> np.ndarray:
+    """``median_change`` from the events' calendar positions, whose +-w
+    windows must lie inside ``values``."""
     offsets = np.arange(-w, w + 1)
     # baseline is day -w of each event
-    diffs = vals[pos[:, None] + offsets[None, :]] - vals[pos - w][:, None]
-    return CumulativePath(
-        label="Median", rel_days=offsets, estimates=np.median(diffs, axis=0)
-    )
+    diffs = values[positions[:, None] + offsets[None, :]] - values[positions - w][:, None]
+    return np.median(diffs, axis=0)

@@ -3,7 +3,8 @@ median-change statistics, plus HAC coverage assessment.
 
 Replications are driven by a counter-based generator (Philox) keyed on
 (seed, replication index), so results are deterministic and independent of
-execution order.
+execution order.  A replication's events are calendar positions, one sorted
+array per group.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import StudySpec, build_design
+from .design import design_at, event_positions
 from .errors import PermutationError
 from .estimators import (
     Z90,
@@ -25,7 +26,7 @@ from .estimators import (
     fit_lad,
     fit_ols,
     hac_covariance,
-    median_change,
+    median_at,
 )
 from .events import Event, EventSet, GroupAssignment, Openness, align_events
 from .series import PriceSeries, ReturnSeries, to_returns
@@ -77,6 +78,8 @@ class PermutationSpec:
             raise PermutationError("replications must be >= 1")
         if self.window < 1:
             raise PermutationError("window must be >= 1")
+        if self.k is not None and self.k < 1:
+            raise PermutationError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,22 +98,18 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def _draw(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct indices into a pool of n, in increasing order."""
+    return np.sort(rng.choice(n, size=k, replace=False))
+
+
 def draw_placebo(pool: Sequence[date], k: int, rng: np.random.Generator) -> EventSet:
     """k distinct pool entries, without replacement, as a placebo EventSet."""
     if k > len(pool):
         raise PermutationError(f"cannot draw {k} from a pool of {len(pool)}")
-    idx = rng.choice(len(pool), size=k, replace=False)
-    dates = sorted(pool[i] for i in idx)
-    return _dates_to_events(dates)
-
-
-def _dates_to_events(dates: Sequence[date], prefix: str = "placebo") -> EventSet:
-    return EventSet(
-        tuple(
-            Event(date=d, name=f"{prefix}-{i}", openness=Openness.CLOSED)
-            for i, d in enumerate(dates)
-        )
-    )
+    # named by pool index, which stays unique if the pool repeats a date
+    draw = _draw(len(pool), k, rng)
+    return EventSet(tuple(Event(pool[i], f"pool {i}", Openness.CLOSED) for i in draw))
 
 
 def percentile_bands(
@@ -135,22 +134,21 @@ def _eligible_pool(calendar, w: int) -> list[date]:
     return list(calendar.dates[w : n - w])
 
 
+Positions = tuple[np.ndarray, ...]
+
+
 def _statistic(
-    series: PriceSeries,
-    returns: ReturnSeries,
-    groups: EventSet | GroupAssignment,
-    spec: PermutationSpec,
+    series: PriceSeries, returns: ReturnSeries, positions: Positions, spec: PermutationSpec
 ) -> np.ndarray:
-    """Path of ``spec.statistic`` for one event set, or for a difference
-    statistic the first group's path minus the second's."""
+    """Path of ``spec.statistic`` for the event positions of one group, or
+    for a difference statistic the first group's path minus the second's."""
     statistic = spec.statistic
     if not statistic.uses_regression:
-        if statistic.is_difference:
-            a = median_change(series, groups.group_a, spec.window).estimates
-            b = median_change(series, groups.group_b, spec.window).estimates
-            return a - b
-        return median_change(series, groups, spec.window).estimates
-    design = build_design(returns, StudySpec(spec.window, groups))
+        values = series.transformed()
+        paths = [median_at(values, pos, spec.window) for pos in positions]
+        return paths[0] - paths[1] if statistic.is_difference else paths[0]
+    labels = ("A", "B") if statistic.is_difference else ("All",)
+    design = design_at(returns, spec.window, positions, labels)
     lad = statistic in (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE)
     fit = fit_lad(design) if lad else fit_ols(design)
     return _path_estimates(fit, None, contrast=statistic.is_difference)
@@ -160,15 +158,19 @@ def _calendar_for(series: PriceSeries, returns: ReturnSeries, spec: PermutationS
     return returns.calendar if spec.statistic.uses_regression else series.calendar
 
 
+def _real_positions(events: EventSet, calendar, w: int) -> np.ndarray:
+    return np.asarray(event_positions(align_events(events, calendar), calendar, w))
+
+
 def _placebo_result(
     series: PriceSeries,
     returns: ReturnSeries,
-    real: EventSet | GroupAssignment,
-    draw: Callable[[np.random.Generator], EventSet | GroupAssignment],
+    real: Positions,
+    draw: Callable[[np.random.Generator], Positions],
     spec: PermutationSpec,
 ) -> PermutationResult:
-    """The statistic on the real events, and its placebo distribution over
-    the event groups that ``draw`` makes from each replication's stream."""
+    """The statistic at the real event positions, and its placebo distribution
+    over the positions that ``draw`` makes from each replication's stream."""
     observed = _statistic(series, returns, real, spec)
     paths = np.empty((spec.replications, 2 * spec.window + 1))
     for b in range(spec.replications):
@@ -185,48 +187,43 @@ def _placebo_result(
 def permutation_group_level(
     series: PriceSeries, events: EventSet, spec: PermutationSpec
 ) -> PermutationResult:
-    """Placebo distribution of a single-group statistic, drawing K dates per
-    replication from all eligible business days in the data."""
+    """Placebo distribution of a single-group statistic, drawing K of the
+    eligible positions per replication: pool index i is position i + W."""
     if spec.statistic.is_difference:
         raise PermutationError("group-level permutation needs a non-difference statistic")
     if len(events) == 0:
         raise PermutationError("empty event set")
     returns = to_returns(series)
     cal = _calendar_for(series, returns, spec)
-    pool = _eligible_pool(cal, spec.window)
+    w = spec.window
+    n = len(_eligible_pool(cal, w))
     k = spec.k if spec.k is not None else len(events)
-    if k > len(pool):
-        raise PermutationError(f"eligible pool ({len(pool)}) smaller than K={k}")
-
-    real = align_events(events, cal)
-    return _placebo_result(series, returns, real, lambda rng: draw_placebo(pool, k, rng), spec)
+    if k > n:
+        raise PermutationError(f"eligible pool ({n}) smaller than K={k}")
+    real = (_real_positions(events, cal, w),)
+    return _placebo_result(series, returns, real, lambda rng: (_draw(n, k, rng) + w,), spec)
 
 
 def permutation_comparison(
     series: PriceSeries, groups: GroupAssignment, spec: PermutationSpec
 ) -> PermutationResult:
     """Placebo distribution of the A-B difference statistic: per replication
-    the pooled real event dates are relabeled into disjoint samples of the
-    real group sizes."""
+    the pooled real event positions are relabeled into disjoint samples of
+    the real group sizes."""
     if not spec.statistic.is_difference:
         raise PermutationError("comparison permutation needs a difference statistic")
     returns = to_returns(series)
     cal = _calendar_for(series, returns, spec)
-    real_a = align_events(groups.group_a, cal)
-    real_b = align_events(groups.group_b, cal)
-    pool = real_a.dates() + real_b.dates()
-    if len(real_a) == 0 or len(real_b) == 0:
+    real = tuple(_real_positions(g, cal, spec.window) for g in (groups.group_a, groups.group_b))
+    if len(real[0]) == 0 or len(real[1]) == 0:
         raise PermutationError("both groups need at least one event")
+    pool = np.concatenate(real)
+    k_a = len(real[0])
 
-    k_a = len(real_a)
-
-    def relabel(rng: np.random.Generator) -> GroupAssignment:
+    def relabel(rng: np.random.Generator) -> Positions:
         perm = rng.permutation(len(pool))
-        sample_a = _dates_to_events(sorted(pool[i] for i in perm[:k_a]), prefix="a")
-        sample_b = _dates_to_events(sorted(pool[i] for i in perm[k_a:]), prefix="b")
-        return GroupAssignment(sample_a, sample_b, "A", "B")
+        return np.sort(pool[perm[:k_a]]), np.sort(pool[perm[k_a:]])
 
-    real = GroupAssignment(real_a, real_b, groups.label_a, groups.label_b)
     return _placebo_result(series, returns, real, relabel, spec)
 
 
@@ -241,15 +238,16 @@ def coverage_assessment(
     if not -spec.window <= horizon <= spec.window:
         raise PermutationError(f"horizon {horizon} outside the window")
     returns = to_returns(series)
-    pool = _eligible_pool(returns.calendar, spec.window)
-    if group_size > len(pool):
-        raise PermutationError(f"eligible pool ({len(pool)}) smaller than K={group_size}")
-    h = horizon + spec.window
+    w = spec.window
+    n = len(_eligible_pool(returns.calendar, w))
+    if group_size > n:
+        raise PermutationError(f"eligible pool ({n}) smaller than K={group_size}")
+    h = horizon + w
     hits90 = 0
     hits95 = 0
     for b in range(spec.replications):
-        placebo = draw_placebo(pool, group_size, substream(spec.seed, b))
-        design = build_design(returns, StudySpec(spec.window, placebo, spec.hac_lags))
+        placebo = _draw(n, group_size, substream(spec.seed, b)) + w
+        design = design_at(returns, w, (placebo,), ("All",))
         fit = fit_ols(design)
         cov = hac_covariance(design, fit, spec.hac_lags)
         path = cumulative_path(fit, cov)

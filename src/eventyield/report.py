@@ -142,11 +142,12 @@ def _permutation(value) -> PermutationConfig | None:
 
 
 def _read_file(path: str | Path, parse):
-    """``parse`` applied to the UTF-8 text of the file at ``path``.  A file
-    that cannot be read, is not UTF-8, or that ``parse`` rejects is a
-    one-line ConfigError naming the file."""
+    """``parse`` applied to the UTF-8 text of the file at ``path``, less a
+    leading byte-order mark.  A file that cannot be read, is not UTF-8, or
+    that ``parse`` rejects is a one-line ConfigError naming the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        # strip the mark after decoding, so error offsets count from the file's start
+        return parse(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
     except OSError as exc:
         problem = exc.strerror or str(exc)
     except UnicodeDecodeError as exc:

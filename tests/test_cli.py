@@ -316,6 +316,13 @@ def test_table_rejects_a_file_that_is_not_utf8(tmp_path):
     assert_clean_failure(r, f"{bad}: not UTF-8 text (byte 0xff at offset 63)")
 
 
+def test_an_error_offset_counts_the_byte_order_mark(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbfrelative_day,estimate_bp\n-1,\xff\n")
+    r = CliRunner().invoke(main, ["table", str(bad)])
+    assert_clean_failure(r, f"{bad}: not UTF-8 text (byte 0xff at offset 31)")
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("which", ["config", "asset", "events"])
 def test_a_file_that_is_not_utf8_is_named(tmp_path, synth_data, command, which):
@@ -329,6 +336,45 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, synth_data, command, which):
     r = CliRunner().invoke(main, [command, "--config", str(cfg)])
     assert_clean_failure(r, f"{bad}: not UTF-8 text (byte 0xff")
     assert not (tmp_path / "out").exists()
+
+
+def test_files_with_a_byte_order_mark_are_read(tmp_path, synth_data):
+    perm = {"replications": 3, "statistic": "ols"}
+    plain = make_config(tmp_path, synth_data, permutation=perm)
+    events = synth_data / "bom_events.csv"
+    events.write_bytes(b"\xef\xbb\xbf" + (synth_data / "synth_events.csv").read_bytes())
+    bom = make_config(
+        tmp_path, synth_data, "bom.yaml", output_dir="out_bom", events=str(events),
+        permutation=perm,
+    )
+    bom.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+    runner = CliRunner()
+    r = runner.invoke(main, ["validate", "--config", str(bom)])
+    assert r.exit_code == 0, r.output
+    for cfg in (plain, bom):
+        r = runner.invoke(main, ["run", "--config", str(cfg)])
+        assert r.exit_code == 0, r.output
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "out_bom").iterdir())
+    for name in written:
+        assert (tmp_path / "out_bom" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [(["--length", "1"], "length must be >= 2"),
+     (["--sigma-bp", "-1"], "sigma must be >= 0"),
+     (["--length", "20"], "do not fit in --length 20"),
+     (["--events-per-group", "400"], "2 x --events-per-group 400 windows of +-15 days"),
+     (["--window", "0"], "--window must be >= 1")],
+    ids=["length-1", "negative-sigma", "length-20", "400-per-group", "window-0"],
+)
+def test_synth_rejects_options_in_one_line(tmp_path, options, message):
+    out = tmp_path / "data"
+    r = CliRunner().invoke(main, ["synth", "--output", str(out), *options])
+    assert r.exit_code == 1
+    assert_clean_failure(r, message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from eventyield import (
+    DesignError,
     EstimationError,
     EventSet,
     GroupAssignment,
@@ -410,7 +411,7 @@ class TestMedianChange:
 
     def test_insufficient_coverage(self):
         s = level_series([1.0] * 10)
-        with pytest.raises(EstimationError):
+        with pytest.raises(DesignError, match="window leaves the calendar"):
             median_change(s, make_events(s.calendar, [1]), w=5)
 
     def test_empty_events(self):

@@ -1,23 +1,36 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from eventyield import (
+    Event,
     EventSet,
     GroupAssignment,
     Openness,
     PermutationError,
     PermutationSpec,
     Statistic,
+    StudySpec,
     SynthSpec,
+    accumulate_lad_path,
+    align_events,
+    build_design,
     coverage_assessment,
+    cumulative_path,
     draw_placebo,
+    fit_lad,
+    fit_ols,
     generate_walk,
+    hac_covariance,
+    median_change,
     percentile_bands,
     permutation_comparison,
     permutation_group_level,
+    to_returns,
 )
-from eventyield.permutation import _eligible_pool, substream
-from conftest import make_events
+from eventyield.permutation import Z90, Z95, _eligible_pool, substream
+from conftest import log_series, make_events
 
 
 def walk(length=320, sigma=0.0005, seed=0):
@@ -123,6 +136,12 @@ class TestGroupLevel:
         r = permutation_group_level(s, events, spec)
         assert r.observed[0] == 0.0  # path baselined at -W
 
+    def test_draw_size_below_one_rejected(self):
+        with pytest.raises(PermutationError, match="k must be >= 1"):
+            PermutationSpec(
+                replications=5, statistic=Statistic.MEDIAN_PATH, window=10, seed=0, k=0
+            )
+
     def test_difference_statistic_rejected(self):
         s = walk()
         events = make_events(s.calendar, [60, 120])
@@ -196,3 +215,90 @@ class TestCoverage:
         )
         with pytest.raises(PermutationError):
             coverage_assessment(s, spec, group_size=5, horizon=11)
+
+
+class TestReferenceLoop:
+    """Each panel against the replication loop written out over Event
+    objects: draw or relabel dates, then build the design and fit, or take
+    the median change, one replication at a time."""
+
+    @staticmethod
+    def assert_same_result(result, observed, paths):
+        assert result.observed.tobytes() == observed.tobytes()
+        assert result.placebo_mean.tobytes() == paths.mean(axis=0).tobytes()
+        for level, (lo, hi) in percentile_bands(paths).items():
+            assert result.bands[level][0].tobytes() == lo.tobytes()
+            assert result.bands[level][1].tobytes() == hi.tobytes()
+
+    def test_coverage_assessment(self):
+        s = walk(length=300, sigma=0.05, seed=5)
+        spec = PermutationSpec(
+            replications=30, statistic=Statistic.OLS_PATH, window=8, seed=4, hac_lags=6
+        )
+        returns = to_returns(s)
+        pool = _eligible_pool(returns.calendar, spec.window)
+        at = np.empty((spec.replications, 2))
+        for b in range(spec.replications):
+            placebo = draw_placebo(pool, 7, substream(spec.seed, b))
+            design = build_design(returns, StudySpec(spec.window, placebo))
+            fit = fit_ols(design)
+            path = cumulative_path(fit, hac_covariance(design, fit, spec.hac_lags))
+            at[b] = path.estimates[spec.window + 3], path.ses[spec.window + 3]
+        est, se = np.abs(at[:, 0]), at[:, 1]
+        expected = np.array([np.mean(est <= Z90 * se), np.mean(est <= Z95 * se)])
+        assert 0.0 < expected[1] < 1.0  # the horizon is neither always nor never covered
+        cov = coverage_assessment(s, spec, group_size=7, horizon=3)
+        assert np.array([cov["coverage90"], cov["coverage95"]]).tobytes() == expected.tobytes()
+
+    def test_group_level_median_on_a_log_series(self):
+        rng = np.random.default_rng(8)
+        s = log_series(100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(260))))
+        dates = [s.calendar.dates[p] for p in (40, 44, 90, 150, 200)]
+        # a Saturday aligns to the Friday before it, which is already an event
+        saturday = dates[1] + timedelta(days=1)
+        assert saturday.weekday() == 5
+        events = EventSet(
+            tuple(Event(d, f"e{i}", Openness.OPEN) for i, d in enumerate(dates))
+            + (Event(saturday, "sat", Openness.OPEN),)
+        )
+        spec = PermutationSpec(
+            replications=60, statistic=Statistic.MEDIAN_PATH, window=12, seed=2, k=4
+        )
+        pool = _eligible_pool(s.calendar, spec.window)
+        observed = median_change(s, align_events(events, s.calendar), spec.window).estimates
+        paths = np.array([
+            median_change(s, draw_placebo(pool, 4, substream(spec.seed, b)), spec.window).estimates
+            for b in range(spec.replications)
+        ])
+        self.assert_same_result(permutation_group_level(s, events, spec), observed, paths)
+
+    def test_lad_difference_comparison(self):
+        s = walk(length=260, sigma=0.05, seed=6)
+        returns = to_returns(s)
+        cal = returns.calendar
+        a = make_events(cal, [30, 70, 70, 120, 180], prefix="a")
+        b = make_events(cal, [45, 70, 150, 210], [Openness.CLOSED] * 4, prefix="b")
+        spec = PermutationSpec(
+            replications=8, statistic=Statistic.LAD_DIFFERENCE, window=10, seed=3
+        )
+
+        def lad_diff(group_a, group_b):
+            groups = GroupAssignment(group_a, group_b, "A", "B")
+            fit = fit_lad(build_design(returns, StudySpec(spec.window, groups)))
+            return accumulate_lad_path(fit, contrast=True).estimates
+
+        real_a, real_b = align_events(a, cal), align_events(b, cal)
+        pool = real_a.dates() + real_b.dates()
+        paths = np.empty((spec.replications, 2 * spec.window + 1))
+        for r in range(spec.replications):
+            perm = substream(spec.seed, r).permutation(len(pool))
+            relabeled = [
+                EventSet(tuple(
+                    Event(d, f"{prefix}{i}", Openness.CLOSED)
+                    for i, d in enumerate(sorted(pool[j] for j in half))
+                ))
+                for prefix, half in (("a", perm[: len(a)]), ("b", perm[len(a) :]))
+            ]
+            paths[r] = lad_diff(*relabeled)
+        result = permutation_comparison(s, GroupAssignment(a, b, "Open", "Closed"), spec)
+        self.assert_same_result(result, lad_diff(real_a, real_b), paths)
