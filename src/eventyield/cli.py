@@ -129,6 +129,8 @@ def synth(output, length, sigma_bp, drift_bp, seed, events_per_group, effect_bp,
         )
         if window < 1:
             raise ConfigError("--window must be >= 1")
+        if events_per_group < 1:
+            raise ConfigError("--events-per-group must be >= 1")
         usable = length - 2 * (window + 1)
         total = 2 * events_per_group
         if total > usable:

