@@ -1,9 +1,17 @@
 """Golden outputs: `run` for each statistic and `permute` on the same
 configs must write files whose SHA-256 digests match the committed fixture.
 
+Three event layouts are covered, each for every statistic: the synth
+events split by openness (with `run` and `permute`), the same events
+pooled into one group, and the synth events plus a weekend pair, a
+Saturday open release and a Sunday closed release that both align onto
+the Friday before.
+
 The CLI runs in a subprocess with one BLAS/OpenMP thread, so the digests do
 not depend on the core count of the machine.  The fixture
-`data/golden_sha256.json` maps "<command>_<statistic>/<file>" to a digest.
+`data/golden_sha256.json` maps "<case>/<file>" to a digest, where a case is
+"<command>_<statistic>", "pooled_run_<statistic>" or
+"weekend_run_<statistic>".
 """
 
 import hashlib
@@ -19,6 +27,9 @@ FIXTURE = Path(__file__).parent / "data" / "golden_sha256.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
 STATISTICS = ("ols", "lad", "median")
 REPLICATIONS = 4
+# a Saturday and a Sunday release; both align onto Friday 2022-04-22, which
+# lies inside the windows of two synth events
+WEEKEND_ROWS = ("2022-04-23,weekend-open,x", "2022-04-24,weekend-closed,")
 
 
 def cli(*args: str) -> None:
@@ -30,35 +41,62 @@ def cli(*args: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
+def weekend_events(data: Path) -> Path:
+    """The synth event table with the two weekend releases appended."""
+    lines = (data / "synth_events.csv").read_text(encoding="utf-8").splitlines()
+    width = lines[0].count(",")
+    rows = [row + "," * (width - row.count(",")) for row in WEEKEND_ROWS]
+    out = data / "weekend_events.csv"
+    out.write_text("\n".join(lines + rows) + "\n", encoding="utf-8")
+    return out
+
+
+def run_case(case: Path, statistic: str, events: Path, prices: Path, command: str, **extra):
+    case.mkdir()
+    doc = {
+        "assets": [{"path": str(prices), "label": "synth"}],
+        "events": str(events),
+        "output_dir": "out",
+        "window": 15,
+        "hac_lags": 10,
+        "estimator": statistic,
+        "permutation": {
+            "replications": REPLICATIONS,
+            "seed": 0,
+            "statistic": statistic,
+        },
+        **extra,
+    }
+    cfg = case / "study.yaml"
+    cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    args = ["--config", str(cfg)]
+    if command == "permute":
+        args += ["--statistic", statistic, "--replications", str(REPLICATIONS), "--seed", "0"]
+    cli(command, *args)
+    return {
+        f"{case.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted((case / "out").iterdir())
+    }
+
+
 def golden_digests(root: Path) -> dict[str, str]:
     data = root / "data"
     cli("synth", "--output", str(data), "--length", "400", "--events-per-group", "4")
+    prices, events = data / "synth_prices.csv", data / "synth_events.csv"
+    weekend = weekend_events(data)
     digests = {}
     for statistic in STATISTICS:
         for command in ("run", "permute"):
-            case = root / f"{command}_{statistic}"
-            case.mkdir()
-            doc = {
-                "assets": [{"path": str(data / "synth_prices.csv"), "label": "synth"}],
-                "events": str(data / "synth_events.csv"),
-                "output_dir": "out",
-                "window": 15,
-                "hac_lags": 10,
-                "estimator": statistic,
-                "permutation": {
-                    "replications": REPLICATIONS,
-                    "seed": 0,
-                    "statistic": statistic,
-                },
-            }
-            cfg = case / "study.yaml"
-            cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
-            args = ["--config", str(cfg)]
-            if command == "permute":
-                args += ["--statistic", statistic, "--replications", str(REPLICATIONS), "--seed", "0"]
-            cli(command, *args)
-            for f in sorted((case / "out").iterdir()):
-                digests[f"{case.name}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+            digests.update(
+                run_case(root / f"{command}_{statistic}", statistic, events, prices, command)
+            )
+        digests.update(
+            run_case(root / f"pooled_run_{statistic}", statistic, events, prices, "run",
+                     split="pooled")
+        )
+        digests.update(
+            run_case(root / f"weekend_run_{statistic}", statistic, weekend, prices, "run")
+        )
     return digests
 
 
