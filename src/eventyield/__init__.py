@@ -29,9 +29,7 @@ from .events import (
     EventSet,
     GroupAssignment,
     Openness,
-    agi_forecast_shift,
     align_events,
-    frontier_path,
     split_by_country,
     split_by_median,
     split_by_openness,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DesignError
-from .events import EventSet, GroupAssignment
+from .events import EventSet, GroupAssignment, align_events, labelled_groups
 from .series import ReturnSeries, TradingCalendar
 
 # Singular values below RANK_TOL x largest are treated as zero.
@@ -36,14 +36,6 @@ class StudySpec:
             raise DesignError("window must be >= 1")
         if self.hac_lags < 0:
             raise DesignError("hac_lags must be >= 0")
-
-    def group_sets(self) -> list[tuple[str, EventSet]]:
-        if isinstance(self.groups, GroupAssignment):
-            return [
-                (self.groups.label_a, self.groups.group_a),
-                (self.groups.label_b, self.groups.group_b),
-            ]
-        return [("All", self.groups)]
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ def build_design(returns: ReturnSeries, spec: StudySpec) -> DesignMatrix:
     rows between event windows are retained (they identify the constant).
     A perfectly collinear design is built as it is; the fit rejects it.
     """
-    groups = spec.group_sets()
+    groups = labelled_groups(spec.groups)
     positions = [event_positions(events, returns.calendar, spec.window) for _, events in groups]
     return design_at(returns, spec.window, positions, tuple(label for label, _ in groups))
 
@@ -155,6 +147,12 @@ def event_positions(events: EventSet, calendar: TradingCalendar, w: int) -> list
             raise DesignError(f"event {e.name} on {e.date}: +-{w} day window leaves the calendar")
         positions.append(p)
     return positions
+
+
+def aligned_positions(events: EventSet, calendar: TradingCalendar, w: int) -> np.ndarray:
+    """Calendar positions of ``events`` once each date is aligned onto the
+    calendar; every +-w window must lie inside it."""
+    return np.asarray(event_positions(align_events(events, calendar), calendar, w))
 
 
 def matrix_rank(x: np.ndarray) -> int:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import RANK_TOL, DesignMatrix, event_positions
+from .design import RANK_TOL, DesignMatrix, aligned_positions
 from .errors import EstimationError
-from .events import EventSet, align_events
+from .events import EventSet
 from .series import PriceSeries
 
 Z90 = 1.6449
@@ -296,8 +296,7 @@ def median_change(series: PriceSeries, events: EventSet, w: int) -> CumulativePa
         raise EstimationError("empty event set")
     if w < 1:
         raise EstimationError("window must be >= 1")
-    cal = series.calendar
-    positions = np.asarray(event_positions(align_events(events, cal), cal, w))
+    positions = aligned_positions(events, series.calendar, w)
     estimates = median_at(series.transformed(), positions, w)
     return CumulativePath(label="Median", rel_days=np.arange(-w, w + 1), estimates=estimates)
 

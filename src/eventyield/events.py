@@ -1,4 +1,4 @@
-"""Event sets, group splits, frontier paths, and forecast shifts."""
+"""Event sets, group splits, and alignment to a trading calendar."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from statistics import median
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .errors import CalendarError, EventError
-from .series import PriceSeries, align_event_date, relative_day_index
+from .errors import EventError
+from .series import align_event_date
 
 
 class Openness(Enum):
@@ -75,6 +75,14 @@ class GroupAssignment:
         keys_b = {(e.date, e.name) for e in self.group_b}
         if keys_a & keys_b:
             raise EventError("an event appears in both groups")
+
+
+def labelled_groups(groups: GroupAssignment | EventSet) -> list[tuple[str, EventSet]]:
+    """(label, events) per group: the two groups of a split in order, or a
+    pooled set as the one group "All"."""
+    if isinstance(groups, GroupAssignment):
+        return [(groups.label_a, groups.group_a), (groups.label_b, groups.group_b)]
+    return [("All", groups)]
 
 
 def split_by_openness(events: EventSet) -> GroupAssignment:
@@ -146,38 +154,3 @@ def align_events(events: EventSet, calendar) -> EventSet:
             for e in events
         )
     )
-
-
-def frontier_path(events: EventSet, openness: Openness) -> list[tuple[date, float]]:
-    """Running maximum of arena scores over dated releases of one openness
-    class.  One entry per distinct release date; same-date releases
-    contribute their maximum."""
-    scored = [
-        (e.date, float(e.attr("arena_score")))
-        for e in events
-        if e.openness is openness and e.attr("arena_score") is not None
-    ]
-    if not scored:
-        raise EventError(f"no scored events with openness {openness.value}")
-    path: list[tuple[date, float]] = []
-    best = -float("inf")
-    for d, score in scored:  # already date-sorted via EventSet
-        best = max(best, score)
-        if path and path[-1][0] == d:
-            path[-1] = (d, best)
-        else:
-            path.append((d, best))
-    return path
-
-
-def agi_forecast_shift(forecast: PriceSeries, event: Event, w: int) -> float:
-    """Forecast value ``w`` business positions after the aligned event date
-    minus the value ``w`` positions before, on the forecast's own calendar."""
-    if w <= 0:
-        raise EventError("window must be positive")
-    cal = forecast.calendar
-    anchor = align_event_date(cal, event.date)
-    before = relative_day_index(cal, anchor, -w)
-    after = relative_day_index(cal, anchor, w)
-    vals = forecast.transformed()
-    return float(vals[cal.position(after)] - vals[cal.position(before)])

@@ -17,19 +17,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import design_at, event_positions
+from .design import aligned_positions, design_at
 from .errors import PermutationError
 from .estimators import (
     Z90,
     Z95,
     _path_estimates,
-    cumulative_path,
+    _selector,
     fit_lad,
     fit_ols,
     hac_covariance,
     median_at,
 )
-from .events import Event, EventSet, GroupAssignment, Openness, align_events
+from .events import Event, EventSet, GroupAssignment, Openness
 from .series import PriceSeries, ReturnSeries, to_returns
 
 BAND_LEVELS = (0.90, 0.95)
@@ -202,10 +202,6 @@ def _calendar_for(series: PriceSeries, returns: ReturnSeries, spec: PermutationS
     return returns.calendar if spec.statistic.uses_regression else series.calendar
 
 
-def _real_positions(events: EventSet, calendar, w: int) -> np.ndarray:
-    return np.asarray(event_positions(align_events(events, calendar), calendar, w))
-
-
 def _placebo_result(
     series: PriceSeries,
     returns: ReturnSeries,
@@ -245,7 +241,7 @@ def permutation_group_level(
     k = spec.k if spec.k is not None else len(events)
     if k > n:
         raise PermutationError(f"eligible pool ({n}) smaller than K={k}")
-    real = (_real_positions(events, cal, w),)
+    real = (aligned_positions(events, cal, w),)
     return _placebo_result(series, returns, real, lambda rng: (_draw(n, k, rng) + w,), spec)
 
 
@@ -259,7 +255,7 @@ def permutation_comparison(
         raise PermutationError("comparison permutation needs a difference statistic")
     returns = to_returns(series)
     cal = _calendar_for(series, returns, spec)
-    real = tuple(_real_positions(g, cal, spec.window) for g in (groups.group_a, groups.group_b))
+    real = tuple(aligned_positions(g, cal, spec.window) for g in (groups.group_a, groups.group_b))
     if len(real[0]) == 0 or len(real[1]) == 0:
         raise PermutationError("both groups need at least one event")
     pool = np.concatenate(real)
@@ -290,14 +286,19 @@ def coverage_assessment(
     h = horizon + w
     hits90 = 0
     hits95 = 0
+    e = None
     with _one_blas_thread():
         for b in range(spec.replications):
             placebo = _draw(n, group_size, substream(spec.seed, b)) + w
             design = design_at(returns, w, (placebo,), ("All",))
             fit = fit_ols(design)
             cov = hac_covariance(design, fit, spec.hac_lags)
-            path = cumulative_path(fit, cov)
-            est, se = path.estimates[h], path.ses[h]
+            if e is None:
+                # every placebo design has the same columns
+                e = _selector(design, horizon, "All", False)
+            # the horizon's entry of cumulative_path, without the other days
+            est = _path_estimates(fit, None, contrast=False)[h]
+            se = np.sqrt(max(float(e @ cov.matrix @ e), 0.0))
             if abs(est) <= Z90 * se:
                 hits90 += 1
             if abs(est) <= Z95 * se:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .design import StudySpec, build_design, event_positions
+from .design import aligned_positions, design_at
 from .errors import ConfigError, EventYieldError, IngestError
 from .estimators import (
     CumulativePath,
@@ -27,12 +27,12 @@ from .estimators import (
     fit_lad,
     fit_ols,
     hac_covariance,
-    median_change,
+    median_at,
 )
 from .events import (
     EventSet,
     GroupAssignment,
-    align_events,
+    labelled_groups,
     split_by_country,
     split_by_median,
     split_by_openness,
@@ -91,6 +91,9 @@ class PermutationConfig:
         _check_estimator("permutation.statistic", self.statistic)
 
 
+_SEPARATORS = {"/", os.sep, os.altsep} - {None}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     assets: tuple[AssetConfig, ...]
@@ -109,9 +112,19 @@ class StudyConfig:
         if self.hac_lags < 0:
             raise ConfigError("hac_lags must be >= 0")
         _check_estimator("estimator", self.estimator)
+        labels = set()
         for asset in self.assets:
             if asset.kind not in ("fred", "ohlc", "forecast"):
                 raise ConfigError(f"unknown asset kind {asset.kind!r}")
+            # a label names the asset's output files, which must not clash or nest
+            label = "" if asset.label is None else str(asset.label)
+            if not label or any(sep in label for sep in _SEPARATORS):
+                raise ConfigError(
+                    f"assets: label {asset.label!r} must be non-empty and hold no path separator"
+                )
+            if label in labels:
+                raise ConfigError(f"assets: label {label!r} is used by more than one asset")
+            labels.add(label)
 
 
 def _int(value, key: str) -> int:
@@ -217,10 +230,9 @@ def load_events(config: StudyConfig) -> tuple[EventSet, GroupAssignment | EventS
     if len(events) == 0:
         raise ConfigError("no events")
     groups = resolve_split(events, config.split)
-    if isinstance(groups, GroupAssignment):
-        for label, group in ((groups.label_a, groups.group_a), (groups.label_b, groups.group_b)):
-            if len(group) == 0:
-                raise ConfigError(f"split {config.split!r} leaves group {label!r} with no events")
+    for label, group in labelled_groups(groups):
+        if len(group) == 0:
+            raise ConfigError(f"split {config.split!r} leaves group {label!r} with no events")
     return events, groups
 
 
@@ -235,9 +247,8 @@ def check_windows(
         cal = to_returns(series).calendar
     else:
         cal = series.calendar
-    sets = (groups.group_a, groups.group_b) if isinstance(groups, GroupAssignment) else (groups,)
-    for events in sets:
-        event_positions(align_events(events, cal), cal, config.window)
+    for _, events in labelled_groups(groups):
+        aligned_positions(events, cal, config.window)
 
 
 def resolve_split(events: EventSet, rule: str) -> GroupAssignment | EventSet:
@@ -391,45 +402,39 @@ def _scale_for(series: PriceSeries) -> float:
     return 100.0 if series.transform is Transform.LEVEL else 1.0
 
 
-def _estimate_paths(series, returns, groups, config: StudyConfig):
-    """Paths per group plus the difference, and the constant row (OLS only)."""
-    two_group = isinstance(groups, GroupAssignment)
+def _estimate_paths(series, returns, labels: tuple, positions: list, config: StudyConfig):
+    """Paths per group plus the difference, and the constant row (OLS only),
+    from each group's event positions on the estimator's calendar."""
+    w = config.window
     statistic = Statistic(config.estimator)
+    two_group = len(labels) == 2
     if not statistic.uses_regression:
+        values = series.transformed()
+        rel_days = np.arange(-w, w + 1)
+        # a pooled median path is named after its estimator, not "All"
+        names = labels if two_group else ("Median",)
+        paths = [
+            CumulativePath(label=name, rel_days=rel_days, estimates=median_at(values, pos, w))
+            for name, pos in zip(names, positions)
+        ]
         if two_group:
-            a = median_change(series, groups.group_a, config.window)
-            b = median_change(series, groups.group_b, config.window)
-            diff = CumulativePath(
-                label=f"{groups.label_a} - {groups.label_b}",
-                rel_days=a.rel_days,
-                estimates=a.estimates - b.estimates,
-            )
-            a = CumulativePath(label=groups.label_a, rel_days=a.rel_days, estimates=a.estimates)
-            b = CumulativePath(label=groups.label_b, rel_days=b.rel_days, estimates=b.estimates)
-            return [a, b, diff], None
-        path = median_change(series, groups, config.window)
-        return [path], None
+            paths.append(CumulativePath(
+                label=f"{labels[0]} - {labels[1]}",
+                rel_days=rel_days,
+                estimates=paths[0].estimates - paths[1].estimates,
+            ))
+        return paths, None
 
-    aligned = (
-        GroupAssignment(
-            align_events(groups.group_a, returns.calendar),
-            align_events(groups.group_b, returns.calendar),
-            groups.label_a,
-            groups.label_b,
-        )
-        if two_group
-        else align_events(groups, returns.calendar)
-    )
-    design = build_design(returns, StudySpec(config.window, aligned, config.hac_lags))
+    design = design_at(returns, w, positions, labels)
     if statistic is Statistic.LAD_PATH:
         fit = fit_lad(design)
-        paths = [accumulate_lad_path(fit, group=g) for g in design.group_labels]
+        paths = [accumulate_lad_path(fit, group=g) for g in labels]
         if two_group:
             paths.append(accumulate_lad_path(fit, contrast=True))
         return paths, None
     fit = fit_ols(design)
     cov = hac_covariance(design, fit, config.hac_lags)
-    paths = [cumulative_path(fit, cov, group=g) for g in design.group_labels]
+    paths = [cumulative_path(fit, cov, group=g) for g in labels]
     if two_group:
         paths.append(cumulative_path(fit, cov, contrast=True))
     mu, _, p = constant_stats(fit, cov)
@@ -444,12 +449,15 @@ def _emit_study(series, groups, config: StudyConfig, label: str, out_dir: Path) 
     """Path CSVs per group plus the difference, and the significance table."""
     returns = to_returns(series)
     scale = _scale_for(series)
-    paths, constant = _estimate_paths(series, returns, groups, config)
-    two_group = isinstance(groups, GroupAssignment)
+    cal = returns.calendar if Statistic(config.estimator).uses_regression else series.calendar
+    labelled = labelled_groups(groups)
+    labels = tuple(label for label, _ in labelled)
+    positions = [aligned_positions(events, cal, config.window) for _, events in labelled]
+    paths, constant = _estimate_paths(series, returns, labels, positions, config)
     written = []
     for i, path in enumerate(paths):
-        is_diff = two_group and i == len(paths) - 1
-        suffix = "diff" if is_diff else _slug(path.label)
+        # the path after the groups' is their difference
+        suffix = "diff" if i == len(labels) else _slug(path.label)
         written.append(emit_paths(path, out_dir / f"{label}_{suffix}.csv", scale=scale))
     table_file = out_dir / f"{label}_table.txt"
     table = render_table(paths, constant=constant, scale=scale)
@@ -468,17 +476,15 @@ def _emit_permutation(series, groups, config: StudyConfig, label: str, out_dir: 
         seed=perm.seed,
         hac_lags=config.hac_lags,
     )
-    if isinstance(groups, GroupAssignment):
-        # group-level panels draw samples of the smaller group's size
-        level = replace(base, k=min(len(groups.group_a), len(groups.group_b)))
-        panels = [
-            (_slug(groups.label_a), permutation_group_level, groups.group_a, level),
-            (_slug(groups.label_b), permutation_group_level, groups.group_b, level),
-            ("diff", permutation_comparison, groups,
-             replace(base, statistic=Statistic(f"{perm.statistic}_diff"))),
-        ]
-    else:
-        panels = [("all", permutation_group_level, groups, base)]
+    labelled = labelled_groups(groups)
+    # group-level panels draw samples of the smaller group's size
+    level = replace(base, k=min(len(events) for _, events in labelled))
+    panels = [
+        (_slug(label), permutation_group_level, events, level) for label, events in labelled
+    ]
+    if len(labelled) == 2:
+        diff = replace(base, statistic=Statistic(f"{perm.statistic}_diff"))
+        panels.append(("diff", permutation_comparison, groups, diff))
     scale = _scale_for(series)
     written = []
     for suffix, permute, events, spec in panels:

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SeriesError
-from .events import EventSet, GroupAssignment
+from .events import EventSet, GroupAssignment, labelled_groups
 from .series import PriceSeries, TradingCalendar, Transform, align_event_date
 
 
@@ -71,13 +71,9 @@ def inject_effects(
     Effects are applied on the transformed scale, so a Level series gains
     level shifts and a Log series multiplicative ones.
     """
-    if isinstance(groups, GroupAssignment):
-        labeled = [(groups.label_a, groups.group_a), (groups.label_b, groups.group_b)]
-    else:
-        labeled = [("All", groups)]
     cal = series.calendar
     f = series.transformed().copy()
-    for label, events in labeled:
+    for label, events in labelled_groups(groups):
         effect = profile.get(label, {})
         for e in events:
             p = cal.position(align_event_date(cal, e.date))

@@ -403,6 +403,41 @@ def test_an_asset_path_that_is_a_directory_is_named(tmp_path, synth_data):
     assert_clean_failure(r, f"{folder}: Is a directory")
 
 
+def _two_unlabelled_assets(data_dir):
+    """The synth prices copied into d1/ and d2/, with no labels, so that both
+    take the label synth_prices from their file names."""
+    assets = []
+    for folder in ("d1", "d2"):
+        (data_dir / folder).mkdir()
+        copy = data_dir / folder / "synth_prices.csv"
+        copy.write_bytes((data_dir / "synth_prices.csv").read_bytes())
+        assets.append({"path": str(copy), "kind": "fred"})
+    return assets
+
+
+@pytest.mark.parametrize(
+    "assets, message",
+    [
+        (_two_unlabelled_assets, "assets: label 'synth_prices' is used by more than one asset"),
+        ([{"label": "a/b"}], "assets: label 'a/b' must be non-empty and hold no path separator"),
+        ([{"label": ""}], "assets: label '' must be non-empty"),
+    ],
+    ids=["duplicate", "separator", "empty"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_asset_labels_that_would_clash_or_nest_are_rejected(
+    tmp_path, synth_data, command, assets, message
+):
+    if callable(assets):
+        assets = assets(synth_data)
+    else:
+        assets = [{"path": str(synth_data / "synth_prices.csv"), **a} for a in assets]
+    cfg = make_config(tmp_path, synth_data, assets=assets)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_bad_row_names_its_asset_file(tmp_path, synth_data):
     prices = synth_data / "synth_prices.csv"
     lines = prices.read_text().splitlines()

@@ -1,4 +1,4 @@
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -108,6 +108,23 @@ class TestValidation:
         evs = EventSet((Event(date=off_cal, name="m", openness=Openness.OPEN),))
         with pytest.raises(DesignError, match="align"):
             build_design(r, StudySpec(window=2, groups=evs))
+
+    def test_aligned_positions_align_first(self):
+        from eventyield import Event, EventSet
+        from eventyield.design import aligned_positions
+
+        cal = to_returns(level_series([4.0] * 60)).calendar
+        friday = cal.dates[18]
+        assert friday.weekday() == 4
+        evs = EventSet((
+            Event(date=friday + timedelta(days=1), name="sat", openness=Openness.OPEN),
+            Event(date=friday, name="fri", openness=Openness.CLOSED),
+            Event(date=cal.dates[30], name="m", openness=Openness.OPEN),
+        ))
+        positions = aligned_positions(evs, cal, 2)
+        assert positions.tolist() == [18, 18, 30]
+        with pytest.raises(DesignError, match="window leaves the calendar"):
+            aligned_positions(evs, cal, 30)
 
     def test_empty_event_set_rejected(self):
         s = level_series([4.0] * 60)

@@ -11,9 +11,7 @@ from eventyield import (
     EventSet,
     GroupAssignment,
     Openness,
-    agi_forecast_shift,
     align_events,
-    frontier_path,
     parse_event_table,
     split_by_country,
     split_by_median,
@@ -21,7 +19,7 @@ from eventyield import (
     split_by_sign,
     weekday_calendar,
 )
-from conftest import level_series
+from eventyield.events import labelled_groups
 
 
 def ev(d, name, openness=Openness.CLOSED, **attrs):
@@ -150,64 +148,15 @@ class TestAlignEvents:
         assert align_events(once, weekday_cal).dates() == once.dates()
 
 
-class TestFrontierPath:
-    def test_running_max(self):
-        evs = EventSet(
-            (
-                ev(date(2023, 1, 2), "a", Openness.OPEN, arena_score=1000.0),
-                ev(date(2023, 2, 2), "b", Openness.OPEN, arena_score=950.0),
-                ev(date(2023, 3, 2), "c", Openness.OPEN, arena_score=1100.0),
-                ev(date(2023, 4, 2), "d", Openness.CLOSED, arena_score=2000.0),
-            )
-        )
-        path = frontier_path(evs, Openness.OPEN)
-        assert path == [
-            (date(2023, 1, 2), 1000.0),
-            (date(2023, 2, 2), 1000.0),
-            (date(2023, 3, 2), 1100.0),
+class TestLabelledGroups:
+    def test_split_gives_both_groups_in_order(self):
+        es = EventSet((ev(date(2023, 1, 2), "o", Openness.OPEN), ev(date(2023, 1, 3), "c")))
+        groups = split_by_openness(es)
+        assert labelled_groups(groups) == [
+            ("Open", groups.group_a),
+            ("Closed", groups.group_b),
         ]
 
-    def test_same_date_takes_max(self):
-        d = date(2023, 1, 2)
-        evs = EventSet(
-            (
-                ev(d, "a", Openness.OPEN, arena_score=900.0),
-                ev(d, "b", Openness.OPEN, arena_score=1200.0),
-            )
-        )
-        assert frontier_path(evs, Openness.OPEN) == [(d, 1200.0)]
-
-    def test_no_scored_events(self):
-        evs = EventSet((ev(date(2023, 1, 2), "a", Openness.OPEN),))
-        with pytest.raises(EventError):
-            frontier_path(evs, Openness.CLOSED)
-
-    @given(st.lists(st.floats(min_value=0, max_value=3000, allow_nan=False), min_size=1, max_size=20))
-    def test_monotone_nondecreasing(self, scores):
-        evs = EventSet(
-            tuple(
-                ev(date.fromordinal(738000 + 2 * i), f"m{i}", Openness.OPEN, arena_score=s)
-                for i, s in enumerate(scores)
-            )
-        )
-        path = frontier_path(evs, Openness.OPEN)
-        vals = [v for _, v in path]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-class TestAgiForecastShift:
-    def test_constant_forecast_shifts_zero(self):
-        forecast = level_series([20000.0] * 30)
-        e = ev(forecast.calendar.dates[15], "m")
-        assert agi_forecast_shift(forecast, e, 10) == 0.0
-
-    def test_hand_computed(self):
-        # linear forecast rising 3 per business day: shift over +/-w is 6w
-        forecast = level_series([1000.0 + 3.0 * i for i in range(31)])
-        e = ev(forecast.calendar.dates[15], "m")
-        assert agi_forecast_shift(forecast, e, 5) == pytest.approx(30.0)
-
-    def test_nonpositive_window_rejected(self):
-        forecast = level_series([1.0] * 30)
-        with pytest.raises(EventError):
-            agi_forecast_shift(forecast, ev(forecast.calendar.dates[15], "m"), 0)
+    def test_pooled_set_is_one_group_all(self):
+        es = EventSet((ev(date(2023, 1, 2), "a"),))
+        assert labelled_groups(es) == [("All", es)]

@@ -318,18 +318,24 @@ class TestReferenceLoop:
         )
         returns = to_returns(s)
         pool = _eligible_pool(returns.calendar, spec.window)
-        at = np.empty((spec.replications, 2))
+        paths = []
         for b in range(spec.replications):
             placebo = draw_placebo(pool, 7, substream(spec.seed, b))
             design = build_design(returns, StudySpec(spec.window, placebo))
             fit = fit_ols(design)
-            path = cumulative_path(fit, hac_covariance(design, fit, spec.hac_lags))
-            at[b] = path.estimates[spec.window + 3], path.ses[spec.window + 3]
-        est, se = np.abs(at[:, 0]), at[:, 1]
-        expected = np.array([np.mean(est <= Z90 * se), np.mean(est <= Z95 * se)])
-        assert 0.0 < expected[1] < 1.0  # the horizon is neither always nor never covered
-        cov = coverage_assessment(s, spec, group_size=7, horizon=3)
-        assert np.array([cov["coverage90"], cov["coverage95"]]).tobytes() == expected.tobytes()
+            paths.append(cumulative_path(fit, hac_covariance(design, fit, spec.hac_lags)))
+
+        def expected_at(horizon):
+            est = np.abs([path.estimates[spec.window + horizon] for path in paths])
+            se = np.array([path.ses[spec.window + horizon] for path in paths])
+            return np.array([np.mean(est <= Z90 * se), np.mean(est <= Z95 * se)])
+
+        assert 0.0 < expected_at(3)[1] < 1.0  # the horizon is neither always nor never covered
+        # every horizon, so that an estimate or SE read at the wrong day shows
+        for horizon in range(-spec.window, spec.window + 1):
+            cov = coverage_assessment(s, spec, group_size=7, horizon=horizon)
+            got = np.array([cov["coverage90"], cov["coverage95"]])
+            assert got.tobytes() == expected_at(horizon).tobytes(), horizon
 
     def test_group_level_median_on_a_log_series(self):
         rng = np.random.default_rng(8)
