@@ -22,6 +22,7 @@ from .estimators import (
     fit_lad,
     fit_ols,
     hac_covariance,
+    hac_variance,
     median_change,
 )
 from .events import (

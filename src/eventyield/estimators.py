@@ -115,24 +115,46 @@ def fit_lad(design: DesignMatrix) -> RegressionFit:
     return RegressionFit(design, coef, resid, float(np.sum(np.abs(resid))), "lad")
 
 
-def hac_covariance(design: DesignMatrix, fit: RegressionFit, lag: int) -> HacCovariance:
-    """Newey-West covariance (X'X)^-1 S (X'X)^-1 with Bartlett weights
-    w_l = 1 - l/(lag+1) on the score autocovariances."""
+def _check_lag(design: DesignMatrix, lag: int):
     if lag < 0:
         raise EstimationError("lag must be >= 0")
     if lag >= design.n_rows:
         raise EstimationError(f"lag {lag} >= row count {design.n_rows}")
-    x = design.matrix
-    u = x * fit.residuals[:, None]
+
+
+def _bartlett(u: np.ndarray, lag: int) -> np.ndarray:
+    """Newey-West long-run covariance S of the score rows ``u``: the
+    autocovariances up to ``lag`` with Bartlett weights w_l = 1 - l/(lag+1)."""
     s = u.T @ u
     for ell in range(1, lag + 1):
         w = 1.0 - ell / (lag + 1.0)
         g = u[ell:].T @ u[:-ell]
         s += w * (g + g.T)
+    return s
+
+
+def hac_covariance(design: DesignMatrix, fit: RegressionFit, lag: int) -> HacCovariance:
+    """Newey-West covariance (X'X)^-1 S (X'X)^-1 with Bartlett weights
+    w_l = 1 - l/(lag+1) on the score autocovariances."""
+    _check_lag(design, lag)
+    x = design.matrix
+    s = _bartlett(x * fit.residuals[:, None], lag)
     xtx_inv = np.linalg.inv(x.T @ x)
     cov = xtx_inv @ s @ xtx_inv
     cov = (cov + cov.T) / 2.0
     return HacCovariance(matrix=cov, lag=lag)
+
+
+def hac_variance(design: DesignMatrix, fit: RegressionFit, lag: int, e: np.ndarray) -> float:
+    """e'Ve for the ``hac_covariance`` matrix V, without forming V: with
+    a = (X'X)^-1 e, e'Ve = a'Sa is the Bartlett sum of the one score series
+    z_t = resid_t x_t'a, which costs O(n lag) instead of lag products of
+    n x p score matrices."""
+    _check_lag(design, lag)
+    x = design.matrix
+    a = np.linalg.solve(x.T @ x, e)
+    z = fit.residuals * (x @ a)
+    return float(_bartlett(z[:, None], lag)[0, 0])
 
 
 # Cephes ndtr/erf/erfc (Moshier, "Methods and Programs for Mathematical

@@ -26,7 +26,7 @@ from .estimators import (
     _selector,
     fit_lad,
     fit_ols,
-    hac_covariance,
+    hac_variance,
     median_at,
 )
 from .events import Event, EventSet, GroupAssignment, Openness
@@ -81,6 +81,8 @@ class PermutationSpec:
             raise PermutationError("window must be >= 1")
         if self.k is not None and self.k < 1:
             raise PermutationError("k must be >= 1")
+        if self.hac_lags < 0:
+            raise PermutationError("hac_lags must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -278,6 +280,8 @@ def coverage_assessment(
     given horizon contains zero, at the 90% and 95% levels."""
     if not -spec.window <= horizon <= spec.window:
         raise PermutationError(f"horizon {horizon} outside the window")
+    if group_size < 1:
+        raise PermutationError("group_size must be >= 1")
     returns = to_returns(series)
     w = spec.window
     n = len(_eligible_pool(returns.calendar, w))
@@ -292,13 +296,12 @@ def coverage_assessment(
             placebo = _draw(n, group_size, substream(spec.seed, b)) + w
             design = design_at(returns, w, (placebo,), ("All",))
             fit = fit_ols(design)
-            cov = hac_covariance(design, fit, spec.hac_lags)
             if e is None:
                 # every placebo design has the same columns
                 e = _selector(design, horizon, "All", False)
             # the horizon's entry of cumulative_path, without the other days
             est = _path_estimates(fit, None, contrast=False)[h]
-            se = np.sqrt(max(float(e @ cov.matrix @ e), 0.0))
+            se = np.sqrt(max(hac_variance(design, fit, spec.hac_lags, e), 0.0))
             if abs(est) <= Z90 * se:
                 hits90 += 1
             if abs(est) <= Z95 * se:

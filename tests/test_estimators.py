@@ -18,10 +18,11 @@ from eventyield import (
     fit_lad,
     fit_ols,
     hac_covariance,
+    hac_variance,
     median_change,
     to_returns,
 )
-from eventyield.estimators import Z90, Z95, _two_sided_p
+from eventyield.estimators import Z90, Z95, _selector, _two_sided_p
 from conftest import level_series, make_events
 
 
@@ -280,6 +281,58 @@ class TestHacCovariance:
             hac_covariance(dm, fit, -1)
         with pytest.raises(EstimationError):
             hac_covariance(dm, fit, dm.n_rows)
+
+
+class TestHacVariance:
+    """e'Ve from one projected score series, against the full matrix and
+    against the Bartlett kernel written out as an n x n Toeplitz matrix."""
+
+    @staticmethod
+    def designs():
+        for seed in (3, 17):
+            rng = np.random.default_rng(seed)
+            vals = 4.0 + np.cumsum(0.0003 * rng.standard_normal(200))
+            _, dm = two_group_design(vals, [40, 100], [55, 123], window=15)
+            yield dm, fit_ols(dm)
+
+    @staticmethod
+    def selectors(dm):
+        for r in (-14, -3, 0, 7, 15):
+            for group, contrast in (("A", False), ("B", False), (None, True)):
+                yield _selector(dm, r, group, contrast)
+
+    @staticmethod
+    def kernel_oracle(x, resid, lag, e):
+        """z'Kz with K_tq = max(0, 1 - |t - q| / (lag + 1)), z_t = resid_t x_t'a."""
+        z = resid * (x @ np.linalg.solve(x.T @ x, e))
+        t = np.arange(len(z))
+        k = np.clip(1.0 - np.abs(t[:, None] - t[None, :]) / (lag + 1.0), 0.0, None)
+        return float(z @ k @ z)
+
+    @pytest.mark.parametrize("lag", [0, 1, 30])
+    def test_matches_the_full_matrix(self, lag):
+        for dm, fit in self.designs():
+            cov = hac_covariance(dm, fit, lag)
+            for e in self.selectors(dm):
+                full = float(e @ cov.matrix @ e)
+                assert hac_variance(dm, fit, lag, e) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lag", [0, 1, 30])
+    def test_matches_the_bartlett_kernel(self, lag):
+        for dm, fit in self.designs():
+            for e in self.selectors(dm):
+                oracle = self.kernel_oracle(dm.matrix, fit.residuals, lag, e)
+                assert hac_variance(dm, fit, lag, e) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_lag_bounds_raise_as_the_matrix_does(self):
+        dm, fit = next(self.designs())
+        e = _selector(dm, 0, "A", False)
+        for lag in (-1, dm.n_rows):
+            with pytest.raises(EstimationError) as matrix:
+                hac_covariance(dm, fit, lag)
+            with pytest.raises(EstimationError) as scalar:
+                hac_variance(dm, fit, lag, e)
+            assert str(scalar.value) == str(matrix.value)
 
 
 class TestCumulativePath:

@@ -143,6 +143,12 @@ class TestGroupLevel:
                 replications=5, statistic=Statistic.MEDIAN_PATH, window=10, seed=0, k=0
             )
 
+    def test_negative_hac_lags_rejected(self):
+        with pytest.raises(PermutationError, match="hac_lags must be >= 0"):
+            PermutationSpec(
+                replications=5, statistic=Statistic.OLS_PATH, window=10, seed=0, hac_lags=-1
+            )
+
     def test_difference_statistic_rejected(self):
         s = walk()
         events = make_events(s.calendar, [60, 120])
@@ -217,13 +223,22 @@ class TestCoverage:
         with pytest.raises(PermutationError):
             coverage_assessment(s, spec, group_size=5, horizon=11)
 
+    @pytest.mark.parametrize("group_size", [0, -1])
+    def test_group_size_below_one_rejected(self, group_size):
+        s = walk(length=260)
+        spec = PermutationSpec(
+            replications=5, statistic=Statistic.OLS_PATH, window=10, seed=0
+        )
+        with pytest.raises(PermutationError, match="group_size must be >= 1"):
+            coverage_assessment(s, spec, group_size=group_size, horizon=5)
+
 
 class TestOneBlasThread:
-    """Every placebo fit and HAC covariance runs with numpy's OpenBLAS on one
+    """Every placebo fit and HAC variance runs with numpy's OpenBLAS on one
     thread, and the caller's thread count is back afterwards, also when a fit
     raises in the middle of the replication loop."""
 
-    WRAPPED = ("fit_ols", "fit_lad", "hac_covariance")
+    WRAPPED = ("fit_ols", "fit_lad", "hac_variance")
 
     @pytest.fixture
     def blas(self, monkeypatch):
