@@ -5,13 +5,14 @@ Three event layouts are covered, each for every statistic: the synth
 events split by openness (with `run` and `permute`), the same events
 pooled into one group, and the synth events plus a weekend pair, a
 Saturday open release and a Sunday closed release that both align onto
-the Friday before.
+the Friday before.  Two more `run` cases read two calendars: a median
+study with OLS placebo bands, and an OLS study with median placebo bands.
 
 The CLI runs in a subprocess with one BLAS/OpenMP thread, so the digests do
 not depend on the core count of the machine.  The fixture
 `data/golden_sha256.json` maps "<case>/<file>" to a digest, where a case is
-"<command>_<statistic>", "pooled_run_<statistic>" or
-"weekend_run_<statistic>".
+"<command>_<statistic>", "pooled_run_<statistic>",
+"weekend_run_<statistic>" or "mixed_run_<estimator>_<statistic>".
 """
 
 import hashlib
@@ -26,6 +27,8 @@ import yaml
 FIXTURE = Path(__file__).parent / "data" / "golden_sha256.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
 STATISTICS = ("ols", "lad", "median")
+# (estimator, placebo statistic) pairs whose study and bands read different calendars
+MIXED = (("median", "ols"), ("ols", "median"))
 REPLICATIONS = 4
 # a Saturday and a Sunday release; both align onto Friday 2022-04-22, which
 # lies inside the windows of two synth events
@@ -96,6 +99,11 @@ def golden_digests(root: Path) -> dict[str, str]:
         )
         digests.update(
             run_case(root / f"weekend_run_{statistic}", statistic, weekend, prices, "run")
+        )
+    for estimator, statistic in MIXED:
+        digests.update(
+            run_case(root / f"mixed_run_{estimator}_{statistic}", statistic, events, prices,
+                     "run", estimator=estimator)
         )
     return digests
 
