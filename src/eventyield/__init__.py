@@ -72,8 +72,6 @@ from .series import (
     TradingCalendar,
     Transform,
     align_event_date,
-    relative_day_index,
-    to_basis_points,
     to_returns,
 )
 from .synth import SynthSpec, generate_walk, inject_effects, weekday_calendar

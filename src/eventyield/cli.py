@@ -183,13 +183,13 @@ def table(path_csvs, out):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def validate(config_path):
-    """Parse the config and every referenced file, and check that every
-    event window fits each asset's calendar; report problems."""
+    """Parse the config and every referenced file, and check each asset as
+    `run` does: event windows and HAC lags; report problems."""
     try:
         cfg = load_config(config_path)
         events, groups = report.load_events(cfg)
         for asset in cfg.assets:
-            report.check_windows(cfg, groups, report.load_asset(asset))
+            report.position_asset(cfg, groups, asset)
     except EventYieldError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"OK: {len(events)} events, {len(cfg.assets)} asset(s)")

@@ -30,7 +30,7 @@ from .estimators import (
     median_at,
 )
 from .events import Event, EventSet, GroupAssignment, Openness
-from .series import PriceSeries, ReturnSeries, to_returns
+from .series import PriceSeries, to_returns
 
 BAND_LEVELS = (0.90, 0.95)
 
@@ -49,12 +49,7 @@ class Statistic(Enum):
 
     @property
     def uses_regression(self) -> bool:
-        return self in (
-            Statistic.OLS_PATH,
-            Statistic.LAD_PATH,
-            Statistic.OLS_DIFFERENCE,
-            Statistic.LAD_DIFFERENCE,
-        )
+        return not self.value.startswith("median")
 
 
 # Names of the path statistics, which are also the study estimators.
@@ -83,6 +78,8 @@ class PermutationSpec:
             raise PermutationError("k must be >= 1")
         if self.hac_lags < 0:
             raise PermutationError("hac_lags must be >= 0")
+        if self.seed < 0:
+            raise PermutationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -183,30 +180,32 @@ def _eligible_pool(calendar, w: int) -> list[date]:
 Positions = tuple[np.ndarray, ...]
 
 
-def _statistic(
-    series: PriceSeries, returns: ReturnSeries, positions: Positions, spec: PermutationSpec
-) -> np.ndarray:
-    """Path of ``spec.statistic`` for the event positions of one group, or
-    for a difference statistic the first group's path minus the second's."""
+def statistic_data(statistic: Statistic, series: PriceSeries):
+    """(calendar, data) that ``statistic`` reads: a regression (ols, lad)
+    reads the ReturnSeries on the return calendar, the median reads the
+    transformed values on the price calendar."""
+    if statistic.uses_regression:
+        returns = to_returns(series)
+        return returns.calendar, returns
+    return series.calendar, series.transformed()
+
+
+def _statistic(data, positions: Positions, spec: PermutationSpec) -> np.ndarray:
+    """Path of ``spec.statistic`` on its ``statistic_data`` for the event
+    positions of one group, or the first group's path minus the second's."""
     statistic = spec.statistic
     if not statistic.uses_regression:
-        values = series.transformed()
-        paths = [median_at(values, pos, spec.window) for pos in positions]
+        paths = [median_at(data, pos, spec.window) for pos in positions]
         return paths[0] - paths[1] if statistic.is_difference else paths[0]
     labels = ("A", "B") if statistic.is_difference else ("All",)
-    design = design_at(returns, spec.window, positions, labels)
+    design = design_at(data, spec.window, positions, labels)
     lad = statistic in (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE)
     fit = fit_lad(design) if lad else fit_ols(design)
     return _path_estimates(fit, None, contrast=statistic.is_difference)
 
 
-def _calendar_for(series: PriceSeries, returns: ReturnSeries, spec: PermutationSpec):
-    return returns.calendar if spec.statistic.uses_regression else series.calendar
-
-
 def _placebo_result(
-    series: PriceSeries,
-    returns: ReturnSeries,
+    data,
     real: Positions,
     draw: Callable[[np.random.Generator], Positions],
     spec: PermutationSpec,
@@ -214,10 +213,10 @@ def _placebo_result(
     """The statistic at the real event positions, and its placebo distribution
     over the positions that ``draw`` makes from each replication's stream."""
     with _one_blas_thread():
-        observed = _statistic(series, returns, real, spec)
+        observed = _statistic(data, real, spec)
         paths = np.empty((spec.replications, 2 * spec.window + 1))
         for b in range(spec.replications):
-            paths[b] = _statistic(series, returns, draw(substream(spec.seed, b)), spec)
+            paths[b] = _statistic(data, draw(substream(spec.seed, b)), spec)
     return PermutationResult(
         rel_days=np.arange(-spec.window, spec.window + 1),
         observed=observed,
@@ -227,37 +226,36 @@ def _placebo_result(
     )
 
 
+def group_level_at(data, real: np.ndarray, spec: PermutationSpec) -> PermutationResult:
+    """Placebo distribution of a single-group statistic at the event positions
+    ``real`` on its ``statistic_data``, drawing K of the eligible positions
+    per replication: pool index i is position i + W."""
+    if spec.statistic.is_difference:
+        raise PermutationError("group-level permutation needs a non-difference statistic")
+    if len(real) == 0:
+        raise PermutationError("empty event set")
+    w = spec.window
+    n = len(data) - 2 * w
+    k = spec.k if spec.k is not None else len(real)
+    if k > n:
+        raise PermutationError(f"eligible pool ({n}) smaller than K={k}")
+    return _placebo_result(data, (real,), lambda rng: (_draw(n, k, rng) + w,), spec)
+
+
 def permutation_group_level(
     series: PriceSeries, events: EventSet, spec: PermutationSpec
 ) -> PermutationResult:
-    """Placebo distribution of a single-group statistic, drawing K of the
-    eligible positions per replication: pool index i is position i + W."""
-    if spec.statistic.is_difference:
-        raise PermutationError("group-level permutation needs a non-difference statistic")
-    if len(events) == 0:
-        raise PermutationError("empty event set")
-    returns = to_returns(series)
-    cal = _calendar_for(series, returns, spec)
-    w = spec.window
-    n = len(_eligible_pool(cal, w))
-    k = spec.k if spec.k is not None else len(events)
-    if k > n:
-        raise PermutationError(f"eligible pool ({n}) smaller than K={k}")
-    real = (aligned_positions(events, cal, w),)
-    return _placebo_result(series, returns, real, lambda rng: (_draw(n, k, rng) + w,), spec)
+    """``group_level_at`` for the events aligned onto the statistic's calendar."""
+    cal, data = statistic_data(spec.statistic, series)
+    return group_level_at(data, aligned_positions(events, cal, spec.window), spec)
 
 
-def permutation_comparison(
-    series: PriceSeries, groups: GroupAssignment, spec: PermutationSpec
-) -> PermutationResult:
-    """Placebo distribution of the A-B difference statistic: per replication
-    the pooled real event positions are relabeled into disjoint samples of
-    the real group sizes."""
+def comparison_at(data, real: Positions, spec: PermutationSpec) -> PermutationResult:
+    """Placebo distribution of the A-B difference statistic at the groups'
+    positions ``real`` on its ``statistic_data``: per replication the pooled
+    positions are relabeled into disjoint samples of the real group sizes."""
     if not spec.statistic.is_difference:
         raise PermutationError("comparison permutation needs a difference statistic")
-    returns = to_returns(series)
-    cal = _calendar_for(series, returns, spec)
-    real = tuple(aligned_positions(g, cal, spec.window) for g in (groups.group_a, groups.group_b))
     if len(real[0]) == 0 or len(real[1]) == 0:
         raise PermutationError("both groups need at least one event")
     pool = np.concatenate(real)
@@ -267,7 +265,16 @@ def permutation_comparison(
         perm = rng.permutation(len(pool))
         return np.sort(pool[perm[:k_a]]), np.sort(pool[perm[k_a:]])
 
-    return _placebo_result(series, returns, real, relabel, spec)
+    return _placebo_result(data, real, relabel, spec)
+
+
+def permutation_comparison(
+    series: PriceSeries, groups: GroupAssignment, spec: PermutationSpec
+) -> PermutationResult:
+    """``comparison_at`` for the groups aligned onto the statistic's calendar."""
+    cal, data = statistic_data(spec.statistic, series)
+    real = tuple(aligned_positions(g, cal, spec.window) for g in (groups.group_a, groups.group_b))
+    return comparison_at(data, real, spec)
 
 
 def coverage_assessment(
@@ -277,14 +284,16 @@ def coverage_assessment(
     horizon: int = 15,
 ) -> dict[str, float]:
     """Fraction of placebo replications whose HAC confidence interval at the
-    given horizon contains zero, at the 90% and 95% levels."""
+    given horizon contains zero, at the 90% and 95% levels, from OLS fits."""
+    if spec.statistic is not Statistic.OLS_PATH:
+        raise PermutationError(f"coverage assessment fits OLS, not {spec.statistic.value!r}")
     if not -spec.window <= horizon <= spec.window:
         raise PermutationError(f"horizon {horizon} outside the window")
     if group_size < 1:
         raise PermutationError("group_size must be >= 1")
-    returns = to_returns(series)
+    cal, returns = statistic_data(spec.statistic, series)
     w = spec.window
-    n = len(_eligible_pool(returns.calendar, w))
+    n = len(_eligible_pool(cal, w))
     if group_size > n:
         raise PermutationError(f"eligible pool ({n}) smaller than K={group_size}")
     h = horizon + w

@@ -53,10 +53,11 @@ from .permutation import (
     PermutationResult,
     PermutationSpec,
     Statistic,
-    permutation_comparison,
-    permutation_group_level,
+    comparison_at,
+    group_level_at,
+    statistic_data,
 )
-from .series import PriceSeries, Transform, to_returns
+from .series import PriceSeries, Transform
 
 PATH_COLUMNS = ("relative_day", "estimate_bp", "se", "ci90_lo", "ci90_hi", "ci95_lo", "ci95_hi")
 PLACEBO_COLUMNS = (
@@ -236,21 +237,6 @@ def load_events(config: StudyConfig) -> tuple[EventSet, GroupAssignment | EventS
     return events, groups
 
 
-def check_windows(
-    config: StudyConfig, groups: GroupAssignment | EventSet, series: PriceSeries
-) -> None:
-    """DesignError unless every event's +-window fits the calendar that the
-    configured estimator and placebo statistic use: the return calendar for a
-    regression (ols, lad), the price calendar for the median."""
-    names = [config.estimator] + ([config.permutation.statistic] if config.permutation else [])
-    if any(Statistic(name).uses_regression for name in names):
-        cal = to_returns(series).calendar
-    else:
-        cal = series.calendar
-    for _, events in labelled_groups(groups):
-        aligned_positions(events, cal, config.window)
-
-
 def resolve_split(events: EventSet, rule: str) -> GroupAssignment | EventSet:
     """Split rules: pooled | openness | median:<attr> | sign:<attr> |
     country:<pivot> | interaction:<open|closed>:<attr>."""
@@ -397,24 +383,18 @@ def read_path_csv(path: str | Path, label: str | None = None) -> CumulativePath:
 # --- orchestration ---------------------------------------------------------
 
 
-def _scale_for(series: PriceSeries) -> float:
-    # percent points -> bp for level series; log returns left unscaled
-    return 100.0 if series.transform is Transform.LEVEL else 1.0
-
-
-def _estimate_paths(series, returns, labels: tuple, positions: list, config: StudyConfig):
+def _estimate_paths(data, labels: tuple, positions: tuple, config: StudyConfig):
     """Paths per group plus the difference, and the constant row (OLS only),
-    from each group's event positions on the estimator's calendar."""
+    from each group's event positions on the estimator's ``statistic_data``."""
     w = config.window
     statistic = Statistic(config.estimator)
     two_group = len(labels) == 2
     if not statistic.uses_regression:
-        values = series.transformed()
         rel_days = np.arange(-w, w + 1)
         # a pooled median path is named after its estimator, not "All"
         names = labels if two_group else ("Median",)
         paths = [
-            CumulativePath(label=name, rel_days=rel_days, estimates=median_at(values, pos, w))
+            CumulativePath(label=name, rel_days=rel_days, estimates=median_at(data, pos, w))
             for name, pos in zip(names, positions)
         ]
         if two_group:
@@ -425,7 +405,7 @@ def _estimate_paths(series, returns, labels: tuple, positions: list, config: Stu
             ))
         return paths, None
 
-    design = design_at(returns, w, positions, labels)
+    design = design_at(data, w, positions, labels)
     if statistic is Statistic.LAD_PATH:
         fit = fit_lad(design)
         paths = [accumulate_lad_path(fit, group=g) for g in labels]
@@ -445,30 +425,62 @@ def _slug(text: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in text).strip("_").lower()
 
 
-def _emit_study(series, groups, config: StudyConfig, label: str, out_dir: Path) -> list[Path]:
-    """Path CSVs per group plus the difference, and the significance table."""
-    returns = to_returns(series)
-    scale = _scale_for(series)
-    cal = returns.calendar if Statistic(config.estimator).uses_regression else series.calendar
+@dataclass(frozen=True)
+class PositionedAsset:
+    """An asset positioned before any file is written: its group labels and,
+    per statistic read, its ``statistic_data`` and each group's positions."""
+
+    label: str
+    scale: float
+    groups: tuple[str, ...]
+    reads: dict[str, tuple]
+
+
+def position_asset(config: StudyConfig, groups, asset: AssetConfig, study=True) -> PositionedAsset:
+    """Load the asset, and align and position each group once per calendar
+    that the estimator or the placebo statistic reads, the return calendar
+    first.  A window that leaves a calendar is a DesignError; for an OLS
+    ``study``, a ``hac_lags`` at or beyond its row count is a ConfigError."""
+    series = load_asset(asset)
     labelled = labelled_groups(groups)
-    labels = tuple(label for label, _ in labelled)
-    positions = [aligned_positions(events, cal, config.window) for _, events in labelled]
-    paths, constant = _estimate_paths(series, returns, labels, positions, config)
+    names = [config.estimator] + ([config.permutation.statistic] if config.permutation else [])
+    reads = {}
+    for regression in (True, False):
+        readers = [name for name in names if Statistic(name).uses_regression is regression]
+        if readers:
+            cal, data = statistic_data(Statistic(readers[0]), series)
+            positions = tuple(aligned_positions(g, cal, config.window) for _, g in labelled)
+            reads.update(dict.fromkeys(readers, (data, positions)))
+    if study and config.estimator == "ols":
+        all_pos = np.concatenate(reads["ols"][1])
+        rows = int(all_pos.max() - all_pos.min()) + 2 * config.window + 1
+        if config.hac_lags >= rows:
+            raise ConfigError(f"{asset.label}: hac_lags {config.hac_lags} >= row count {rows}")
+    # percent points -> bp for level series; log returns left unscaled
+    scale = 100.0 if series.transform is Transform.LEVEL else 1.0
+    return PositionedAsset(asset.label, scale, tuple(g for g, _ in labelled), reads)
+
+
+def _emit_study(asset: PositionedAsset, config: StudyConfig, out_dir: Path) -> list[Path]:
+    """Path CSVs per group plus the difference, and the significance table."""
+    data, positions = asset.reads[config.estimator]
+    paths, constant = _estimate_paths(data, asset.groups, positions, config)
     written = []
     for i, path in enumerate(paths):
         # the path after the groups' is their difference
-        suffix = "diff" if i == len(labels) else _slug(path.label)
-        written.append(emit_paths(path, out_dir / f"{label}_{suffix}.csv", scale=scale))
-    table_file = out_dir / f"{label}_table.txt"
-    table = render_table(paths, constant=constant, scale=scale)
+        suffix = "diff" if i == len(asset.groups) else _slug(path.label)
+        written.append(emit_paths(path, out_dir / f"{asset.label}_{suffix}.csv", asset.scale))
+    table_file = out_dir / f"{asset.label}_table.txt"
+    table = render_table(paths, constant=constant, scale=asset.scale)
     table_file.write_text(table, encoding="utf-8", newline="\n")
     written.append(table_file)
     return written
 
 
-def _emit_permutation(series, groups, config: StudyConfig, label: str, out_dir: Path) -> list[Path]:
+def _emit_permutation(asset: PositionedAsset, config: StudyConfig, out_dir: Path) -> list[Path]:
     """Placebo band CSVs: one per group, plus the difference for two groups."""
     perm = config.permutation
+    data, positions = asset.reads[perm.statistic]
     base = PermutationSpec(
         replications=perm.replications,
         statistic=Statistic(perm.statistic),
@@ -476,34 +488,31 @@ def _emit_permutation(series, groups, config: StudyConfig, label: str, out_dir: 
         seed=perm.seed,
         hac_lags=config.hac_lags,
     )
-    labelled = labelled_groups(groups)
     # group-level panels draw samples of the smaller group's size
-    level = replace(base, k=min(len(events) for _, events in labelled))
+    level = replace(base, k=min(len(pos) for pos in positions))
     panels = [
-        (_slug(label), permutation_group_level, events, level) for label, events in labelled
+        (_slug(group), group_level_at, pos, level) for group, pos in zip(asset.groups, positions)
     ]
-    if len(labelled) == 2:
+    if len(positions) == 2:
         diff = replace(base, statistic=Statistic(f"{perm.statistic}_diff"))
-        panels.append(("diff", permutation_comparison, groups, diff))
-    scale = _scale_for(series)
+        panels.append(("diff", comparison_at, positions, diff))
     written = []
-    for suffix, permute, events, spec in panels:
-        result = permute(series, events, spec)
-        written.append(emit_placebo(result, out_dir / f"{label}_{suffix}_placebo.csv", scale))
+    for suffix, permute, real, spec in panels:
+        out_file = out_dir / f"{asset.label}_{suffix}_placebo.csv"
+        written.append(emit_placebo(permute(data, real, spec), out_file, asset.scale))
     return written
 
 
 def _for_each_asset(config: StudyConfig, stages) -> list[Path]:
     _, groups = load_events(config)
-    assets = [(asset.label, load_asset(asset)) for asset in config.assets]
-    for _, series in assets:
-        check_windows(config, groups, series)
+    study = _emit_study in stages
+    assets = [position_asset(config, groups, asset, study) for asset in config.assets]
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for label, series in assets:
+    for asset in assets:
         for stage in stages:
-            written.extend(stage(series, groups, config, label, out_dir))
+            written.extend(stage(asset, config, out_dir))
     return written
 
 

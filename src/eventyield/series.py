@@ -7,7 +7,6 @@ immutable after construction.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
@@ -64,22 +63,6 @@ def align_event_date(calendar: TradingCalendar, d: date) -> date:
     if i == 0:
         raise CalendarError(f"{d} precedes the first calendar date {calendar.dates[0]}")
     return calendar.dates[i - 1]
-
-
-def relative_day_index(calendar: TradingCalendar, anchor: date, s: int) -> date:
-    """The calendar date ``s`` business positions after (before, if negative)
-    ``anchor``, which must itself be a calendar date."""
-    p = calendar.position(anchor) + s
-    if p < 0 or p >= len(calendar):
-        raise CalendarError(f"offset {s:+d} from {anchor} leaves the calendar range")
-    return calendar.dates[p]
-
-
-def to_basis_points(delta: float) -> float:
-    """Percent points to basis points."""
-    if not math.isfinite(delta):
-        raise SeriesError("non-finite value")
-    return delta * 100.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -309,6 +309,38 @@ def test_median_window_uses_the_price_calendar(tmp_path, synth_data):
     assert_clean_failure(r, "+-57 day window leaves the calendar")
 
 
+@pytest.fixture
+def long_synth(tmp_path):
+    """An 800-day synth series with 4+4 events: the OLS study spans 626 rows."""
+    data_dir = tmp_path / "long"
+    r = CliRunner().invoke(
+        main,
+        ["synth", "--output", str(data_dir), "--length", "800", "--events-per-group", "4"],
+    )
+    assert r.exit_code == 0, r.output
+    return data_dir
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_hac_lags_beyond_the_study_rows(tmp_path, long_synth, command):
+    cfg = make_config(tmp_path, long_synth, hac_lags=700)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, "synth: hac_lags 700 >= row count 626")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("permute", {"permutation": {"replications": 2}}), ("run", {"estimator": "lad"}),
+     ("run", {"estimator": "median"})],
+    ids=["permute", "lad", "median"],
+)
+def test_hac_lags_bind_only_an_ols_study(tmp_path, long_synth, command, extra):
+    cfg = make_config(tmp_path, long_synth, hac_lags=700, **extra)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+
+
 def test_table_rejects_a_file_that_is_not_utf8(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"relative_day,estimate_bp,se,ci90_lo,ci90_hi,ci95_lo,ci95_hi\n-1,\xff\n")

@@ -149,6 +149,10 @@ class TestGroupLevel:
                 replications=5, statistic=Statistic.OLS_PATH, window=10, seed=0, hac_lags=-1
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PermutationError, match="seed must be >= 0"):
+            PermutationSpec(replications=5, statistic=Statistic.OLS_PATH, window=10, seed=-1)
+
     def test_difference_statistic_rejected(self):
         s = walk()
         events = make_events(s.calendar, [60, 120])
@@ -231,6 +235,16 @@ class TestCoverage:
         )
         with pytest.raises(PermutationError, match="group_size must be >= 1"):
             coverage_assessment(s, spec, group_size=group_size, horizon=5)
+
+
+    @pytest.mark.parametrize(
+        "statistic", [Statistic.MEDIAN_PATH, Statistic.LAD_PATH, Statistic.OLS_DIFFERENCE]
+    )
+    def test_statistic_other_than_ols_rejected(self, statistic):
+        s = walk(length=260)
+        spec = PermutationSpec(replications=5, statistic=statistic, window=10, seed=0)
+        with pytest.raises(PermutationError, match="coverage assessment fits OLS"):
+            coverage_assessment(s, spec, group_size=5, horizon=5)
 
 
 class TestOneBlasThread:

@@ -1,3 +1,5 @@
+from collections import Counter
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from eventyield import (
     write_event_csv,
     write_fred_csv,
 )
+from eventyield import permutation, report
 from eventyield.report import (
     PATH_COLUMNS,
     AssetConfig,
@@ -376,3 +379,44 @@ class TestRunStudy:
         cfg = replace(cfg, years=(1990, 1991))
         with pytest.raises(ConfigError):
             run_study(cfg)
+
+
+class TestPositionOnce:
+    """Each asset's groups are aligned and positioned once per calendar that
+    the study or its placebo bands read, and its returns are taken at most
+    once, however many placebo panels read them."""
+
+    @pytest.mark.parametrize(
+        "estimator, statistic, returns_per_asset, positionings_per_asset",
+        [
+            ("ols", "ols", 1, 2),
+            ("lad", "ols", 1, 2),
+            ("median", "median", 0, 2),
+            ("median", "ols", 1, 4),
+            ("ols", "median", 1, 4),
+        ],
+    )
+    def test_calls_per_asset(
+        self, tmp_path, monkeypatch, estimator, statistic, returns_per_asset,
+        positionings_per_asset,
+    ):
+        perm = {"replications": 2, "seed": 0, "statistic": statistic}
+        cfg = load_config(build_study_dir(tmp_path, permutation=perm, estimator=estimator))
+        twin = replace(cfg.assets[0], label="twin")
+        cfg = replace(cfg, assets=(cfg.assets[0], twin))
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for module in (permutation, report):
+            for name in ("to_returns", "aligned_positions"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        run_study(cfg)
+        assert calls["to_returns"] == 2 * returns_per_asset
+        assert calls["aligned_positions"] == 2 * positionings_per_asset

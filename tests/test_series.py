@@ -13,8 +13,6 @@ from eventyield import (
     TradingCalendar,
     Transform,
     align_event_date,
-    relative_day_index,
-    to_basis_points,
     to_returns,
     weekday_calendar,
 )
@@ -99,38 +97,6 @@ class TestAlignEventDate:
         d = date(2023, 1, 2) + timedelta(days=offset)
         a = align_event_date(cal, d)
         assert align_event_date(cal, a) == a
-
-
-class TestRelativeDayIndex:
-    def test_zero_is_anchor(self, weekday_cal):
-        a = weekday_cal.dates[5]
-        assert relative_day_index(weekday_cal, a, 0) == a
-
-    def test_skips_weekend(self):
-        cal = weekday_calendar(date(2023, 1, 2), 10)
-        friday = date(2023, 1, 6)
-        assert relative_day_index(cal, friday, 1) == date(2023, 1, 9)
-
-    def test_out_of_range_rejected(self, weekday_cal):
-        with pytest.raises(CalendarError):
-            relative_day_index(weekday_cal, weekday_cal.dates[9], -15)
-
-    @given(st.integers(-10, 10), st.integers(-10, 10))
-    def test_composition(self, s1, s2):
-        cal = weekday_calendar(date(2023, 1, 2), 60)
-        a = cal.dates[30]
-        via_two = relative_day_index(cal, relative_day_index(cal, a, s1), s2)
-        assert via_two == relative_day_index(cal, a, s1 + s2)
-
-
-class TestToBasisPoints:
-    @pytest.mark.parametrize("pp,bp", [(0.128, 12.8), (0.0, 0.0), (-0.176, -17.6)])
-    def test_scaling(self, pp, bp):
-        assert to_basis_points(pp) == pytest.approx(bp)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(SeriesError):
-            to_basis_points(float("nan"))
 
 
 def test_price_series_length_mismatch(weekday_cal):
