@@ -452,7 +452,7 @@ def position_asset(config: StudyConfig, groups, asset: AssetConfig, study=True) 
             positions = tuple(aligned_positions(g, cal, config.window) for _, g in labelled)
             reads.update(dict.fromkeys(readers, (data, positions)))
     if study and config.estimator == "ols":
-        all_pos = np.concatenate(reads["ols"][1])
+        all_pos = np.concatenate(reads[config.estimator][1])
         rows = int(all_pos.max() - all_pos.min()) + 2 * config.window + 1
         if config.hac_lags >= rows:
             raise ConfigError(f"{asset.label}: hac_lags {config.hac_lags} >= row count {rows}")
