@@ -295,20 +295,27 @@ def constant_stats(fit: RegressionFit, cov: HacCovariance) -> tuple[float, float
     return mu, se, p
 
 
-def accumulate_lad_path(
+def accumulate_path(
     fit: RegressionFit, group: str | None = None, contrast: bool = False
 ) -> CumulativePath:
-    """Prefix sums of LAD daily coefficients; inference comes only from the
-    permutation module."""
-    if fit.method != "lad":
-        raise EstimationError("accumulate_lad_path requires a LAD fit")
+    """Prefix sums of the daily coefficients of one group, or of the
+    first-minus-second group contrast, without inference."""
     design = fit.design
-    est = _path_estimates(fit, group, contrast)
     return CumulativePath(
         label=_path_label(design, group, contrast),
         rel_days=np.arange(-design.window, design.window + 1),
-        estimates=est,
+        estimates=_path_estimates(fit, group, contrast),
     )
+
+
+def accumulate_lad_path(
+    fit: RegressionFit, group: str | None = None, contrast: bool = False
+) -> CumulativePath:
+    """``accumulate_path`` of a LAD fit; inference comes only from the
+    permutation module."""
+    if fit.method != "lad":
+        raise EstimationError("accumulate_lad_path requires a LAD fit")
+    return accumulate_path(fit, group, contrast)
 
 
 def median_change(series: PriceSeries, events: EventSet, w: int) -> CumulativePath:

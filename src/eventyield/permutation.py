@@ -22,10 +22,15 @@ from .errors import PermutationError
 from .estimators import (
     Z90,
     Z95,
+    CumulativePath,
     _path_estimates,
     _selector,
+    accumulate_path,
+    constant_stats,
+    cumulative_path,
     fit_lad,
     fit_ols,
+    hac_covariance,
     hac_variance,
     median_at,
 )
@@ -190,18 +195,39 @@ def statistic_data(statistic: Statistic, series: PriceSeries):
     return series.calendar, series.transformed()
 
 
+def paths_at(
+    statistic: Statistic, data, positions: Positions, labels: tuple, w: int, hac_lags=None
+) -> tuple[list[CumulativePath], tuple[float, float] | None]:
+    """Each group's cumulative path of ``statistic`` at its event positions
+    on its ``statistic_data``, then for two groups the first minus the
+    second.  Given ``hac_lags``, OLS paths carry HAC inference and the trend
+    constant comes back as (estimate, p-value); otherwise it is None."""
+    two_group = len(labels) == 2
+    if not statistic.uses_regression:
+        estimates = [median_at(data, pos, w) for pos in positions]
+        # a pooled median path is named after its estimator, not "All"
+        names = [*labels, f"{labels[0]} - {labels[1]}"] if two_group else ["Median"]
+        if two_group:
+            estimates.append(estimates[0] - estimates[1])
+        rel_days = np.arange(-w, w + 1)
+        return [CumulativePath(n, rel_days, e) for n, e in zip(names, estimates)], None
+    design = design_at(data, w, positions, labels)
+    # a regression difference comes from the daily coefficient differences
+    columns = [(g, False) for g in labels] + ([(None, True)] if two_group else [])
+    lad = statistic in (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE)
+    fit = fit_lad(design) if lad else fit_ols(design)
+    if lad or hac_lags is None:
+        return [accumulate_path(fit, g, contrast) for g, contrast in columns], None
+    cov = hac_covariance(design, fit, hac_lags)
+    mu, _, p = constant_stats(fit, cov)
+    return [cumulative_path(fit, cov, g, contrast) for g, contrast in columns], (mu, p)
+
+
 def _statistic(data, positions: Positions, spec: PermutationSpec) -> np.ndarray:
     """Path of ``spec.statistic`` on its ``statistic_data`` for the event
     positions of one group, or the first group's path minus the second's."""
-    statistic = spec.statistic
-    if not statistic.uses_regression:
-        paths = [median_at(data, pos, spec.window) for pos in positions]
-        return paths[0] - paths[1] if statistic.is_difference else paths[0]
-    labels = ("A", "B") if statistic.is_difference else ("All",)
-    design = design_at(data, spec.window, positions, labels)
-    lad = statistic in (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE)
-    fit = fit_lad(design) if lad else fit_ols(design)
-    return _path_estimates(fit, None, contrast=statistic.is_difference)
+    labels = ("A", "B")[: len(positions)]
+    return paths_at(spec.statistic, data, positions, labels, spec.window)[0][-1].estimates
 
 
 def _placebo_result(

@@ -16,19 +16,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .design import aligned_positions, design_at
+from .design import aligned_positions
 from .errors import ConfigError, EventYieldError, IngestError
-from .estimators import (
-    CumulativePath,
-    _two_sided_p,
-    accumulate_lad_path,
-    constant_stats,
-    cumulative_path,
-    fit_lad,
-    fit_ols,
-    hac_covariance,
-    median_at,
-)
+from .estimators import CumulativePath, _two_sided_p
 from .events import (
     EventSet,
     GroupAssignment,
@@ -55,6 +45,7 @@ from .permutation import (
     Statistic,
     comparison_at,
     group_level_at,
+    paths_at,
     statistic_data,
 )
 from .series import PriceSeries, Transform
@@ -383,44 +374,6 @@ def read_path_csv(path: str | Path, label: str | None = None) -> CumulativePath:
 # --- orchestration ---------------------------------------------------------
 
 
-def _estimate_paths(data, labels: tuple, positions: tuple, config: StudyConfig):
-    """Paths per group plus the difference, and the constant row (OLS only),
-    from each group's event positions on the estimator's ``statistic_data``."""
-    w = config.window
-    statistic = Statistic(config.estimator)
-    two_group = len(labels) == 2
-    if not statistic.uses_regression:
-        rel_days = np.arange(-w, w + 1)
-        # a pooled median path is named after its estimator, not "All"
-        names = labels if two_group else ("Median",)
-        paths = [
-            CumulativePath(label=name, rel_days=rel_days, estimates=median_at(data, pos, w))
-            for name, pos in zip(names, positions)
-        ]
-        if two_group:
-            paths.append(CumulativePath(
-                label=f"{labels[0]} - {labels[1]}",
-                rel_days=rel_days,
-                estimates=paths[0].estimates - paths[1].estimates,
-            ))
-        return paths, None
-
-    design = design_at(data, w, positions, labels)
-    if statistic is Statistic.LAD_PATH:
-        fit = fit_lad(design)
-        paths = [accumulate_lad_path(fit, group=g) for g in labels]
-        if two_group:
-            paths.append(accumulate_lad_path(fit, contrast=True))
-        return paths, None
-    fit = fit_ols(design)
-    cov = hac_covariance(design, fit, config.hac_lags)
-    paths = [cumulative_path(fit, cov, group=g) for g in labels]
-    if two_group:
-        paths.append(cumulative_path(fit, cov, contrast=True))
-    mu, _, p = constant_stats(fit, cov)
-    return paths, (mu, p)
-
-
 def _slug(text: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in text).strip("_").lower()
 
@@ -464,7 +417,9 @@ def position_asset(config: StudyConfig, groups, asset: AssetConfig, study=True) 
 def _emit_study(asset: PositionedAsset, config: StudyConfig, out_dir: Path) -> list[Path]:
     """Path CSVs per group plus the difference, and the significance table."""
     data, positions = asset.reads[config.estimator]
-    paths, constant = _estimate_paths(data, asset.groups, positions, config)
+    paths, constant = paths_at(
+        Statistic(config.estimator), data, positions, asset.groups, config.window, config.hac_lags
+    )
     written = []
     for i, path in enumerate(paths):
         # the path after the groups' is their difference
