@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from statistics import median
 from typing import Mapping
 
-from .errors import EventError
+from .errors import CalendarError, EventError
 from .series import align_event_date
 
 
@@ -142,15 +142,13 @@ def split_by_country(events: EventSet, pivot: str) -> GroupAssignment:
 
 def align_events(events: EventSet, calendar) -> EventSet:
     """Replace each event date with its nearest business day on or before,
-    per the given calendar."""
-    return EventSet(
-        tuple(
-            Event(
-                date=align_event_date(calendar, e.date),
-                name=e.name,
-                openness=e.openness,
-                attributes=e.attributes,
-            )
-            for e in events
-        )
-    )
+    per the given calendar; a date before the calendar is a CalendarError
+    naming the event."""
+    aligned = []
+    for e in events:
+        try:
+            d = align_event_date(calendar, e.date)
+        except CalendarError as exc:
+            raise CalendarError(f"event {e.name}: {exc}") from None
+        aligned.append(replace(e, date=d))
+    return EventSet(tuple(aligned))

@@ -134,11 +134,24 @@ def _years(value) -> tuple[int, int] | None:
     return _int(value[0], "years"), _int(value[1], "years")
 
 
+def _check_keys(mapping: dict, known: tuple[str, ...], what: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(known)}")
+
+
+_STUDY_KEYS = (
+    "assets", "events", "output_dir", "split", "window", "hac_lags", "estimator", "years",
+    "permutation",
+)
+
+
 def _permutation(value) -> PermutationConfig | None:
     if not value:
         return None
     if not isinstance(value, dict):
         raise ConfigError(f"permutation: expected a mapping, got {value!r}")
+    _check_keys(value, ("replications", "seed", "statistic"), "permutation")
     return PermutationConfig(
         replications=_int(value.get("replications", 5000), "permutation.replications"),
         seed=_int(value.get("seed", 0), "permutation.seed"),
@@ -169,15 +182,19 @@ def _read_file(path: str | Path, parse):
 
 def load_config(path: str | Path) -> StudyConfig:
     """Read the YAML study document; see README for the schema.  A missing
-    key or a value of the wrong type is a ConfigError naming the key."""
+    or unknown key, a value of the wrong type, or an empty asset list is a
+    ConfigError naming the key."""
     doc = _read_file(path, yaml.safe_load)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    _check_keys(doc, _STUDY_KEYS, "config")
     base = Path(path).parent
     try:
         entries = doc["assets"]
         if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
             raise ConfigError(f"assets: expected a list of mappings, got {entries!r}")
+        for a in entries:
+            _check_keys(a, ("path", "kind", "label"), "asset")
         assets = tuple(
             AssetConfig(
                 path=str(base / a["path"]),
@@ -202,6 +219,8 @@ def load_config(path: str | Path) -> StudyConfig:
     for p in [cfg.events_path] + [a.path for a in cfg.assets]:
         if not os.path.exists(p):
             raise ConfigError(f"file not found: {p}")
+    if not cfg.assets:
+        raise ConfigError("assets: expected at least one asset")
     return cfg
 
 
@@ -392,18 +411,22 @@ class PositionedAsset:
 def position_asset(config: StudyConfig, groups, asset: AssetConfig, study=True) -> PositionedAsset:
     """Load the asset, and align and position each group once per calendar
     that the estimator or the placebo statistic reads, the return calendar
-    first.  A window that leaves a calendar is a DesignError; for an OLS
-    ``study``, a ``hac_lags`` at or beyond its row count is a ConfigError."""
+    first.  Every error from aligning or positioning (a window that leaves a
+    calendar is a DesignError) names the asset, as does the ConfigError for
+    a ``hac_lags`` at or beyond an OLS ``study``'s row count."""
     series = load_asset(asset)
     labelled = labelled_groups(groups)
     names = [config.estimator] + ([config.permutation.statistic] if config.permutation else [])
     reads = {}
-    for regression in (True, False):
-        readers = [name for name in names if Statistic(name).uses_regression is regression]
-        if readers:
-            cal, data = statistic_data(Statistic(readers[0]), series)
-            positions = tuple(aligned_positions(g, cal, config.window) for _, g in labelled)
-            reads.update(dict.fromkeys(readers, (data, positions)))
+    try:
+        for regression in (True, False):
+            readers = [name for name in names if Statistic(name).uses_regression is regression]
+            if readers:
+                cal, data = statistic_data(Statistic(readers[0]), series)
+                positions = tuple(aligned_positions(g, cal, config.window) for _, g in labelled)
+                reads.update(dict.fromkeys(readers, (data, positions)))
+    except EventYieldError as exc:
+        raise type(exc)(f"{asset.label}: {exc}") from None
     if study and config.estimator == "ols":
         all_pos = np.concatenate(reads[config.estimator][1])
         rows = int(all_pos.max() - all_pos.min()) + 2 * config.window + 1
