@@ -49,7 +49,23 @@ def _apply_overrides(
     return replace(cfg, **updates)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one place where a fault in the input or
+    on the output path becomes a one-line ``Error:`` instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except EventYieldError as exc:
+            raise click.ClickException(str(exc)) from None
+        except BrokenPipeError:
+            raise  # click's own handling: a closed stdout is not an error
+        except OSError as exc:
+            where = f"{exc.filename}: " if exc.filename else ""
+            raise click.ClickException(f"{where}{exc.strerror or exc}") from None
+
+
+@click.group(cls=_Main)
 def main():
     """Event studies around dated releases: fixed-effect regressions with
     HAC inference, median/LAD estimators, and permutation placebo bands."""
@@ -65,21 +81,16 @@ def main():
 @click.option("--estimator", type=click.Choice(ESTIMATORS), default=None)
 def run(config_path, seed, window, hac_lags, replications, years, estimator):
     """Run the full study described by the config file."""
-    try:
-        cfg = load_config(config_path)
-        cfg = _apply_overrides(
-            cfg,
-            seed=seed,
-            window=window,
-            hac_lags=hac_lags,
-            replications=replications,
-            years=_parse_years(years),
-            estimator=estimator,
-        )
-        written = run_study(cfg)
-    except EventYieldError as exc:
-        raise click.ClickException(str(exc))
-    for p in written:
+    cfg = _apply_overrides(
+        load_config(config_path),
+        seed=seed,
+        window=window,
+        hac_lags=hac_lags,
+        replications=replications,
+        years=_parse_years(years),
+        estimator=estimator,
+    )
+    for p in run_study(cfg):
         click.echo(p)
 
 
@@ -93,20 +104,15 @@ def run(config_path, seed, window, hac_lags, replications, years, estimator):
 def permute(config_path, seed, replications, statistic, years):
     """Compute placebo permutation bands only, with the config's permutation
     settings (defaults: 5000 OLS replications, seed 0) and any overrides."""
-    try:
-        cfg = load_config(config_path)
-        cfg = replace(cfg, permutation=cfg.permutation or PermutationConfig())
-        cfg = _apply_overrides(
-            cfg,
-            seed=seed,
-            replications=replications,
-            statistic=statistic,
-            years=_parse_years(years),
-        )
-        written = report.run_permutation(cfg)
-    except EventYieldError as exc:
-        raise click.ClickException(str(exc))
-    for p in written:
+    cfg = load_config(config_path)
+    cfg = _apply_overrides(
+        replace(cfg, permutation=cfg.permutation or PermutationConfig()),
+        seed=seed,
+        replications=replications,
+        statistic=statistic,
+        years=_parse_years(years),
+    )
+    for p in report.run_permutation(cfg):
         click.echo(p)
 
 
@@ -122,39 +128,36 @@ def permute(config_path, seed, replications, statistic, years):
 def synth(output, length, sigma_bp, drift_bp, seed, events_per_group, effect_bp, window):
     """Generate an oracle dataset: a random-walk price file and an event
     table with known injected effects, in the shapes `run` ingests."""
-    try:
-        spec = SynthSpec(
-            length=length, sigma=sigma_bp / 100.0, drift=drift_bp / 100.0, seed=seed,
-            asset_id="SYNTH",
+    spec = SynthSpec(
+        length=length, sigma=sigma_bp / 100.0, drift=drift_bp / 100.0, seed=seed,
+        asset_id="SYNTH",
+    )
+    if window < 1:
+        raise ConfigError("--window must be >= 1")
+    if events_per_group < 1:
+        raise ConfigError("--events-per-group must be >= 1")
+    usable = length - 2 * (window + 1)
+    total = 2 * events_per_group
+    if total > usable:
+        raise ConfigError(
+            f"2 x --events-per-group {events_per_group} windows of +-{window} days "
+            f"(--window) do not fit in --length {length}"
         )
-        if window < 1:
-            raise ConfigError("--window must be >= 1")
-        if events_per_group < 1:
-            raise ConfigError("--events-per-group must be >= 1")
-        usable = length - 2 * (window + 1)
-        total = 2 * events_per_group
-        if total > usable:
-            raise ConfigError(
-                f"2 x --events-per-group {events_per_group} windows of +-{window} days "
-                f"(--window) do not fit in --length {length}"
-            )
-        series = generate_walk(spec)
-        cal = series.calendar
-        step = max(1, usable // (total + 1))
-        dates = [cal.dates[window + 1 + (i + 1) * step] for i in range(total)]
-        evs = []
-        for i, d in enumerate(dates):
-            openness = Openness.OPEN if i % 2 == 0 else Openness.CLOSED
-            evs.append(Event(date=d, name=f"synthetic-{i}", openness=openness))
-        events = EventSet(tuple(evs))
-        groups = split_by_openness(events)
-        series = inject_effects(
-            series,
-            groups,
-            {"Open": {0: effect_bp / 100.0}, "Closed": {0: -effect_bp / 100.0}},
-        )
-    except EventYieldError as exc:
-        raise click.ClickException(str(exc))
+    series = generate_walk(spec)
+    cal = series.calendar
+    step = max(1, usable // (total + 1))
+    dates = [cal.dates[window + 1 + (i + 1) * step] for i in range(total)]
+    evs = []
+    for i, d in enumerate(dates):
+        openness = Openness.OPEN if i % 2 == 0 else Openness.CLOSED
+        evs.append(Event(date=d, name=f"synthetic-{i}", openness=openness))
+    events = EventSet(tuple(evs))
+    groups = split_by_openness(events)
+    series = inject_effects(
+        series,
+        groups,
+        {"Open": {0: effect_bp / 100.0}, "Closed": {0: -effect_bp / 100.0}},
+    )
     out = Path(output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "synth_prices.csv").write_text(write_fred_csv(series), encoding="utf-8", newline="\n")
@@ -168,11 +171,8 @@ def synth(output, length, sigma_bp, drift_bp, seed, events_per_group, effect_bp,
 @click.option("--out", type=click.Path(), default=None, help="Write here instead of stdout.")
 def table(path_csvs, out):
     """Render a significance table from emitted path CSVs."""
-    try:
-        columns = [report.read_path_csv(p) for p in path_csvs]
-        text = report.render_table(columns, scale=1.0)  # CSVs are already in bp
-    except EventYieldError as exc:
-        raise click.ClickException(str(exc))
+    columns = [report.read_path_csv(p) for p in path_csvs]
+    text = report.render_table(columns, scale=1.0)  # CSVs are already in bp
     if out:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
         click.echo(out)
@@ -185,13 +185,10 @@ def table(path_csvs, out):
 def validate(config_path):
     """Parse the config and every referenced file, and check each asset as
     `run` does: event windows and HAC lags; report problems."""
-    try:
-        cfg = load_config(config_path)
-        events, groups = report.load_events(cfg)
-        for asset in cfg.assets:
-            report.position_asset(cfg, groups, asset)
-    except EventYieldError as exc:
-        raise click.ClickException(str(exc))
+    cfg = load_config(config_path)
+    events, groups = report.load_events(cfg)
+    for asset in cfg.assets:
+        report.position_asset(cfg, groups, asset)
     click.echo(f"OK: {len(events)} events, {len(cfg.assets)} asset(s)")
 
 
