@@ -470,6 +470,64 @@ def test_asset_labels_that_would_clash_or_nest_are_rejected(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"estimater": "lad"}, "Error: unknown config key 'estimater'"),
+        ({"permutation": {"replication": 3}}, "Error: unknown permutation key 'replication'"),
+        ({"assets": [{"path": "data/synth_prices.csv", "lable": "S"}]}, "unknown asset key 'lable'"),
+        ({"assets": []}, "Error: assets: expected at least one asset"),
+    ],
+    ids=["study", "permutation", "asset", "no-assets"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unknown_keys_and_an_empty_asset_list_are_rejected(
+    tmp_path, synth_data, command, extra, message
+):
+    cfg = make_config(tmp_path, synth_data, **extra)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_positioning_error_names_the_asset_and_the_event(tmp_path, synth_data, command):
+    prices = synth_data / "synth_prices.csv"
+    lines = prices.read_text().splitlines()
+    # the first event sits at price position 56, before the short asset starts
+    short = synth_data / "short.csv"
+    short.write_text("\n".join(lines[:1] + lines[61:]) + "\n")
+    assets = [{"path": str(prices), "label": "synth"}, {"path": str(short), "label": "SHORT"}]
+    cfg = make_config(tmp_path, synth_data, assets=assets)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+    assert_clean_failure(r, "Error: SHORT: event synthetic-0: ")
+    assert "precedes the first calendar date" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_into_an_output_dir_that_is_a_file(tmp_path, synth_data):
+    (tmp_path / "out").write_text("")
+    cfg = make_config(tmp_path, synth_data)
+    r = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+    assert_clean_failure(r, f"Error: {tmp_path / 'out'}: File exists")
+
+
+def test_table_out_naming_a_directory(tmp_path, synth_data):
+    runner = CliRunner()
+    r = runner.invoke(main, ["run", "--config", str(make_config(tmp_path, synth_data))])
+    assert r.exit_code == 0, r.output
+    path_csv = str(tmp_path / "out" / "synth_diff.csv")
+    r = runner.invoke(main, ["table", path_csv, "--out", str(tmp_path)])
+    assert_clean_failure(r, f"Error: {tmp_path}: Is a directory")
+
+
+def test_synth_output_naming_a_file(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    r = CliRunner().invoke(main, ["synth", "--output", str(target), "--events-per-group", "2"])
+    assert_clean_failure(r, f"Error: {target}: File exists")
+
+
 def test_a_bad_row_names_its_asset_file(tmp_path, synth_data):
     prices = synth_data / "synth_prices.csv"
     lines = prices.read_text().splitlines()

@@ -388,20 +388,29 @@ class TestReferenceLoop:
         ])
         self.assert_same_result(permutation_group_level(s, events, spec), observed, paths)
 
-    def test_lad_difference_comparison(self):
-        s = walk(length=260, sigma=0.05, seed=6)
+    @staticmethod
+    def difference_paths(statistic, s, group_a, group_b, w):
+        """The study's first-minus-second path of ``statistic`` for two Event
+        groups: a regression contrast of daily coefficients, or the
+        difference of the two median paths."""
+        if statistic is Statistic.MEDIAN_DIFFERENCE:
+            return median_change(s, group_a, w).estimates - median_change(s, group_b, w).estimates
         returns = to_returns(s)
-        cal = returns.calendar
+        design = build_design(returns, StudySpec(w, GroupAssignment(group_a, group_b, "A", "B")))
+        if statistic is Statistic.LAD_DIFFERENCE:
+            return accumulate_lad_path(fit_lad(design), contrast=True).estimates
+        fit = fit_ols(design)
+        return cumulative_path(fit, hac_covariance(design, fit, 10), contrast=True).estimates
+
+    def check_difference_comparison(self, statistic, replications):
+        s = walk(length=260, sigma=0.05, seed=6)
+        cal = to_returns(s).calendar
         a = make_events(cal, [30, 70, 70, 120, 180], prefix="a")
         b = make_events(cal, [45, 70, 150, 210], [Openness.CLOSED] * 4, prefix="b")
-        spec = PermutationSpec(
-            replications=8, statistic=Statistic.LAD_DIFFERENCE, window=10, seed=3
-        )
+        spec = PermutationSpec(replications=replications, statistic=statistic, window=10, seed=3)
 
-        def lad_diff(group_a, group_b):
-            groups = GroupAssignment(group_a, group_b, "A", "B")
-            fit = fit_lad(build_design(returns, StudySpec(spec.window, groups)))
-            return accumulate_lad_path(fit, contrast=True).estimates
+        def path_diff(group_a, group_b):
+            return self.difference_paths(statistic, s, group_a, group_b, spec.window)
 
         real_a, real_b = align_events(a, cal), align_events(b, cal)
         pool = real_a.dates() + real_b.dates()
@@ -415,6 +424,17 @@ class TestReferenceLoop:
                 ))
                 for prefix, half in (("a", perm[: len(a)]), ("b", perm[len(a) :]))
             ]
-            paths[r] = lad_diff(*relabeled)
+            paths[r] = path_diff(*relabeled)
         result = permutation_comparison(s, GroupAssignment(a, b, "Open", "Closed"), spec)
-        self.assert_same_result(result, lad_diff(real_a, real_b), paths)
+        self.assert_same_result(result, path_diff(real_a, real_b), paths)
+
+    def test_lad_difference_comparison(self):
+        self.check_difference_comparison(Statistic.LAD_DIFFERENCE, replications=8)
+
+    # each group's path is built beside the difference, which must still be
+    # the coefficient contrast for OLS and the difference of medians
+    @pytest.mark.parametrize(
+        "statistic", [Statistic.OLS_DIFFERENCE, Statistic.MEDIAN_DIFFERENCE], ids=lambda s: s.value
+    )
+    def test_difference_comparison(self, statistic):
+        self.check_difference_comparison(statistic, replications=40)
