@@ -1,5 +1,6 @@
 """Placebo inference: permutation distributions for regression, LAD, and
-median-change statistics, plus HAC coverage assessment.
+median-change statistics, plus HAC coverage assessment.  ``paths_at`` is the
+one estimator dispatch, shared by the study and every replication.
 
 Replications are driven by a counter-based generator (Philox) keyed on
 (seed, replication index), so results are deterministic and independent of
@@ -196,7 +197,8 @@ def statistic_data(statistic: Statistic, series: PriceSeries):
 
 
 def paths_at(
-    statistic: Statistic, data, positions: Positions, labels: tuple, w: int, hac_lags=None
+    statistic: Statistic, data, positions: Positions, labels: tuple, w: int,
+    hac_lags: int | None = None,
 ) -> tuple[list[CumulativePath], tuple[float, float] | None]:
     """Each group's cumulative path of ``statistic`` at its event positions
     on its ``statistic_data``, then for two groups the first minus the
