@@ -59,8 +59,8 @@ PLACEBO_COLUMNS = (
 @dataclass(frozen=True)
 class AssetConfig:
     path: str
-    kind: str  # fred | ohlc | forecast
     label: str
+    kind: str = "fred"  # fred | ohlc | forecast
 
 
 def _check_estimator(key: str, name: str) -> None:
@@ -109,54 +109,49 @@ class StudyConfig:
             if asset.kind not in ("fred", "ohlc", "forecast"):
                 raise ConfigError(f"unknown asset kind {asset.kind!r}")
             # a label names the asset's output files, which must not clash or nest
-            label = "" if asset.label is None else str(asset.label)
+            label = asset.label
             if not label or any(sep in label for sep in _SEPARATORS):
                 raise ConfigError(
-                    f"assets: label {asset.label!r} must be non-empty and hold no path separator"
+                    f"assets: label {label!r} must be non-empty and hold no path separator"
                 )
             if label in labels:
                 raise ConfigError(f"assets: label {label!r} is used by more than one asset")
             labels.add(label)
 
 
-def _int(value, key: str) -> int:
+# Each config mapping's keys and the type of each value; a label may be a number.
+_STUDY_KEYS = {
+    "assets": list, "events": str, "output_dir": str, "split": str, "window": int,
+    "hac_lags": int, "estimator": str, "years": list, "permutation": dict,
+}
+_PERMUTATION_KEYS = {"replications": int, "seed": int, "statistic": str}
+_ASSET_KEYS = {"path": str, "kind": str, "label": (str, int, float)}
+_TYPE_NAMES = {
+    int: "an integer", str: "a string", list: "a list", dict: "a mapping",
+    (str, int, float): "a string or a number",
+}
+
+
+def _is(value, expected) -> bool:
     # bool is an int subclass, but `window: true` is not a window
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
+    return isinstance(value, expected) and not isinstance(value, bool)
 
 
-def _years(value) -> tuple[int, int] | None:
-    if not value:
-        return None
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"years: expected [first, last], got {value!r}")
-    return _int(value[0], "years"), _int(value[1], "years")
-
-
-def _check_keys(mapping: dict, known: tuple[str, ...], what: str) -> None:
-    for key in mapping:
-        if key not in known:
-            raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(known)}")
-
-
-_STUDY_KEYS = (
-    "assets", "events", "output_dir", "split", "window", "hac_lags", "estimator", "years",
-    "permutation",
-)
-
-
-def _permutation(value) -> PermutationConfig | None:
-    if not value:
-        return None
-    if not isinstance(value, dict):
-        raise ConfigError(f"permutation: expected a mapping, got {value!r}")
-    _check_keys(value, ("replications", "seed", "statistic"), "permutation")
-    return PermutationConfig(
-        replications=_int(value.get("replications", 5000), "permutation.replications"),
-        seed=_int(value.get("seed", 0), "permutation.seed"),
-        statistic=value.get("statistic", "ols"),
-    )
+def _read(mapping: dict, keys: dict, what: str, where: str = "") -> dict:
+    """The entries of ``mapping`` whose value is not null, each checked
+    against ``keys``: an unknown key, or a value of another type than its
+    key's, is a ConfigError naming the key (prefixed by ``where``).  A null
+    value is left out, so the key takes its default."""
+    read = {}
+    for key, value in mapping.items():
+        if key not in keys:
+            raise ConfigError(f"unknown {what} key {key!r}; expected one of {', '.join(keys)}")
+        if value is None:
+            continue
+        if not _is(value, keys[key]):
+            raise ConfigError(f"{where}{key}: expected {_TYPE_NAMES[keys[key]]}, got {value!r}")
+        read[key] = value
+    return read
 
 
 def _read_file(path: str | Path, parse):
@@ -183,39 +178,37 @@ def _read_file(path: str | Path, parse):
 def load_config(path: str | Path) -> StudyConfig:
     """Read the YAML study document; see README for the schema.  A missing
     or unknown key, a value of the wrong type, or an empty asset list is a
-    ConfigError naming the key."""
+    ConfigError naming the key.  Only the keys given are passed on, so every
+    other one takes its dataclass default."""
     doc = _read_file(path, yaml.safe_load)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    _check_keys(doc, _STUDY_KEYS, "config")
+    study = _read(doc, _STUDY_KEYS, "config")
+    if "events" not in study:
+        raise ConfigError("missing config key 'events'")
     base = Path(path).parent
-    try:
-        entries = doc["assets"]
-        if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
+    entries = study.pop("assets", [])
+    assets = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
             raise ConfigError(f"assets: expected a list of mappings, got {entries!r}")
-        for a in entries:
-            _check_keys(a, ("path", "kind", "label"), "asset")
-        assets = tuple(
-            AssetConfig(
-                path=str(base / a["path"]),
-                kind=a.get("kind", "fred"),
-                label=a.get("label", Path(a["path"]).stem),
-            )
-            for a in entries
-        )
-        cfg = StudyConfig(
-            assets=assets,
-            events_path=str(base / doc["events"]),
-            output_dir=str(base / doc.get("output_dir", "out")),
-            split=doc.get("split", "openness"),
-            window=_int(doc.get("window", 15), "window"),
-            hac_lags=_int(doc.get("hac_lags", 30), "hac_lags"),
-            estimator=doc.get("estimator", "ols"),
-            years=_years(doc.get("years")),
-            permutation=_permutation(doc.get("permutation")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from None
+        asset = _read(entry, _ASSET_KEYS, "asset", f"assets[{i}].")
+        if "path" not in asset:
+            raise ConfigError(f"assets[{i}]: missing key 'path'")
+        asset["label"] = str(asset.get("label", Path(asset["path"]).stem))
+        asset["path"] = str(base / asset["path"])
+        assets.append(AssetConfig(**asset))
+    study["events_path"] = str(base / study.pop("events"))
+    study["output_dir"] = str(base / study.get("output_dir", "out"))
+    years = study.get("years")
+    if years is not None:
+        if len(years) != 2 or not all(_is(year, int) for year in years):
+            raise ConfigError(f"years: expected [first, last], got {years!r}")
+        study["years"] = tuple(years)
+    if "permutation" in study:
+        perm = _read(study["permutation"], _PERMUTATION_KEYS, "permutation", "permutation.")
+        study["permutation"] = PermutationConfig(**perm)
+    cfg = StudyConfig(assets=tuple(assets), **study)
     for p in [cfg.events_path] + [a.path for a in cfg.assets]:
         if not os.path.exists(p):
             raise ConfigError(f"file not found: {p}")

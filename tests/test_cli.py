@@ -236,14 +236,26 @@ def test_split_leaving_a_group_empty(tmp_path, synth_data, command):
         ({"permutation": 5}, "permutation"),
         ({"assets": {"path": "synth_prices.csv"}}, "assets"),
         ({"assets": ["synth_prices.csv"]}, "assets"),
+        ({"split": 5}, "split"),
+        ({"events": ["a"]}, "events"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"assets": [{"path": 5}]}, "assets[0].path"),
+        ({"assets": [{"path": "p.csv", "kind": ["fred"]}]}, "assets[0].kind"),
+        ({"permutation": False}, "permutation"),
+        ({"permutation": 0}, "permutation"),
+        ({"years": 0}, "years"),
+        ({"years": []}, "years"),
     ],
     ids=["window", "window-float", "hac_lags", "years", "permutation.replications",
-         "permutation", "assets", "asset"],
+         "permutation", "assets", "asset", "split", "events", "output_dir", "asset.path",
+         "asset.kind", "permutation-false", "permutation-0", "years-0", "years-empty"],
 )
 def test_config_value_of_wrong_type(tmp_path, synth_data, extra, key):
     cfg = make_config(tmp_path, synth_data, **extra)
-    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
-    assert_clean_failure(r, f"Error: {key}: expected")
+    for command in ("validate", "run"):
+        r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+        assert_clean_failure(r, f"Error: {key}: expected")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -477,8 +489,10 @@ def test_asset_labels_that_would_clash_or_nest_are_rejected(
         ({"permutation": {"replication": 3}}, "Error: unknown permutation key 'replication'"),
         ({"assets": [{"path": "data/synth_prices.csv", "lable": "S"}]}, "unknown asset key 'lable'"),
         ({"assets": []}, "Error: assets: expected at least one asset"),
+        ({"assets": [{"path": "data/synth_prices.csv"}, {"label": "S"}]},
+         "Error: assets[1]: missing key 'path'"),
     ],
-    ids=["study", "permutation", "asset", "no-assets"],
+    ids=["study", "permutation", "asset", "no-assets", "no-path"],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_unknown_keys_and_an_empty_asset_list_are_rejected(

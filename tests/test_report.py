@@ -315,6 +315,37 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(cfg_file)
 
+    @staticmethod
+    def rewrite(cfg_file, **changes):
+        doc = yaml.safe_load(cfg_file.read_text(encoding="utf-8"))
+        cfg_file.write_text(yaml.safe_dump({**doc, **changes}), encoding="utf-8")
+        return cfg_file
+
+    def test_an_empty_permutation_section_means_bands_at_the_defaults(self, tmp_path):
+        cfg_file = self.rewrite(build_study_dir(tmp_path), permutation={})
+        assert load_config(cfg_file).permutation == PermutationConfig()
+
+    def test_a_null_value_means_the_default(self, tmp_path):
+        nulls = dict.fromkeys(("output_dir", "split", "window", "hac_lags", "estimator", "years"))
+        cfg_file = self.rewrite(
+            build_study_dir(tmp_path),
+            assets=[{"path": "prices.csv", "kind": None, "label": None}],
+            permutation={"replications": None, "seed": None, "statistic": None},
+            **nulls,
+        )
+        assert load_config(cfg_file) == StudyConfig(
+            assets=(AssetConfig(path=str(tmp_path / "prices.csv"), label="prices"),),
+            events_path=str(tmp_path / "events.csv"),
+            output_dir=str(tmp_path / "out"),
+            permutation=PermutationConfig(),
+        )
+
+    def test_a_numeric_label_is_read_as_its_text(self, tmp_path):
+        cfg_file = self.rewrite(
+            build_study_dir(tmp_path), assets=[{"path": "prices.csv", "label": 10}]
+        )
+        assert load_config(cfg_file).assets[0].label == "10"
+
     def test_bad_estimator_rejected(self):
         with pytest.raises(ConfigError):
             StudyConfig(assets=(), events_path="e", output_dir="o", estimator="ridge")
