@@ -121,21 +121,22 @@ def _openblas_threads():
 
 
 @contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the
-    previous count.  A placebo fit is small (hundreds of rows, tens of
-    columns), below the size at which a BLAS thread pool pays for its
-    hand-offs (Goto & van de Geijn 2008): on two cores a replication loop
-    takes about 40% less time on one thread than on two.  The count is
-    process-wide, so other threads see it too.  Without OpenBLAS this does
-    nothing."""
+def _blas_threads(n: int):
+    """Run the block with numpy's OpenBLAS on ``n`` threads, then restore the
+    previous count, also when the block raises.  The count is process-wide,
+    so other threads see it too.  Without OpenBLAS this does nothing.
+
+    Placebo loops run on one thread.  A placebo fit is small (hundreds of
+    rows, tens of columns), below the size at which a BLAS thread pool pays
+    for its hand-offs (Goto & van de Geijn 2008): on two cores a replication
+    loop takes about 40% less time on one thread than on two."""
     threads = _openblas_threads()
     if threads is None:
         yield
         return
     get_threads, set_threads = threads
     before = get_threads()
-    set_threads(1)
+    set_threads(n)
     try:
         yield
     finally:
@@ -220,9 +221,15 @@ def paths_at(
     fit = fit_lad(design) if lad else fit_ols(design)
     if lad or hac_lags is None:
         return [accumulate_path(fit, g, contrast) for g, contrast in columns], None
-    cov = hac_covariance(design, fit, hac_lags)
-    mu, _, p = constant_stats(fit, cov)
-    return [cumulative_path(fit, cov, g, contrast) for g, contrast in columns], (mu, p)
+    # The HAC lag products are strided gemm calls whose low bits depend on
+    # the BLAS thread count, so the study's inference always runs on two
+    # threads: the count its recorded outputs were made with, whatever the
+    # caller's pool.
+    with _blas_threads(2):
+        cov = hac_covariance(design, fit, hac_lags)
+        mu, _, p = constant_stats(fit, cov)
+        paths = [cumulative_path(fit, cov, g, contrast) for g, contrast in columns]
+    return paths, (mu, p)
 
 
 def _statistic(data, positions: Positions, spec: PermutationSpec) -> np.ndarray:
@@ -240,7 +247,7 @@ def _placebo_result(
 ) -> PermutationResult:
     """The statistic at the real event positions, and its placebo distribution
     over the positions that ``draw`` makes from each replication's stream."""
-    with _one_blas_thread():
+    with _blas_threads(1):
         observed = _statistic(data, real, spec)
         paths = np.empty((spec.replications, 2 * spec.window + 1))
         for b in range(spec.replications):
@@ -328,7 +335,7 @@ def coverage_assessment(
     hits90 = 0
     hits95 = 0
     e = None
-    with _one_blas_thread():
+    with _blas_threads(1):
         for b in range(spec.replications):
             placebo = _draw(n, group_size, substream(spec.seed, b)) + w
             design = design_at(returns, w, (placebo,), ("All",))

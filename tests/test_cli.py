@@ -353,6 +353,31 @@ def test_hac_lags_bind_only_an_ols_study(tmp_path, long_synth, command, extra):
     assert r.exit_code == 0, r.output
 
 
+def test_run_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    """On synth seed 8 the HAC lag products, summed in another order on one
+    BLAS thread, once moved a last digit of the open group's path CSV."""
+    data_dir = tmp_path / "data"
+    r = CliRunner().invoke(main, ["synth", "--output", str(data_dir), "--seed", "8"])
+    assert r.exit_code == 0, r.output
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out_{threads}"
+        cfg = make_config(tmp_path, data_dir, f"{threads}.yaml", output_dir=str(out), hac_lags=30)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "from eventyield.cli import main; main()", "run", "--config",
+             str(cfg)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        written[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert sorted(written["1"]) == [f"synth_{s}" for s in ("closed.csv", "diff.csv", "open.csv",
+                                                           "table.txt")]
+    for name, data in written["1"].items():
+        assert data == written["2"][name], name
+
+
 def test_table_rejects_a_file_that_is_not_utf8(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"relative_day,estimate_bp,se,ci90_lo,ci90_hi,ci95_lo,ci95_hi\n-1,\xff\n")

@@ -249,8 +249,9 @@ class TestCoverage:
 
 class TestOneBlasThread:
     """Every placebo fit and HAC variance runs with numpy's OpenBLAS on one
-    thread, and the caller's thread count is back afterwards, also when a fit
-    raises in the middle of the replication loop."""
+    thread, and the study's HAC inference on two, whatever the caller's
+    pool; the caller's thread count is back afterwards, also when a fit
+    raises in the middle of the replication loop or the HAC raises."""
 
     WRAPPED = ("fit_ols", "fit_lad", "hac_variance")
 
@@ -325,6 +326,40 @@ class TestOneBlasThread:
             self.panels()[panel]()
         assert len(seen) == 2 and [count for _, count in seen] == [1, 1]
         assert get_threads() == before
+
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_the_study_hac_runs_on_two_threads_and_the_count_is_restored(
+        self, blas, monkeypatch, fails
+    ):
+        get_threads, seen = blas
+        hac = permutation.hac_covariance
+
+        def recording(*args, **kwargs):
+            seen.append(("hac_covariance", get_threads()))
+            if fails:
+                raise RuntimeError("hac failed")
+            return hac(*args, **kwargs)
+
+        monkeypatch.setattr(permutation, "hac_covariance", recording)
+        s = walk(sigma=0.05, seed=6)
+        cal, data = permutation.statistic_data(Statistic.OLS_PATH, s)
+        groups = TestComparison.two_groups(s)
+        positions = tuple(
+            permutation.aligned_positions(g, cal, 10) for g in (groups.group_a, groups.group_b)
+        )
+        _, set_threads = permutation._openblas_threads()
+        set_threads(1)
+        if fails:
+            with pytest.raises(RuntimeError, match="hac failed"):
+                permutation.paths_at(Statistic.OLS_PATH, data, positions, ("A", "B"), 10, 5)
+        else:
+            paths, constant = permutation.paths_at(
+                Statistic.OLS_PATH, data, positions, ("A", "B"), 10, 5
+            )
+            assert len(paths) == 3 and constant is not None
+        assert seen == [("fit_ols", 1), ("hac_covariance", 2)]
+        assert get_threads() == 1
 
 
 class TestReferenceLoop:
