@@ -354,8 +354,9 @@ def test_hac_lags_bind_only_an_ols_study(tmp_path, long_synth, command, extra):
 
 
 def test_run_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
-    """On synth seed 8 the HAC lag products, summed in another order on one
-    BLAS thread, once moved a last digit of the open group's path CSV."""
+    """Every output is the same bytes on one BLAS thread as on two.  On synth
+    seed 8 the HAC lag products summed on one thread differ in their low bits
+    from those on two, enough to move a digit of the open group's path CSV."""
     data_dir = tmp_path / "data"
     r = CliRunner().invoke(main, ["synth", "--output", str(data_dir), "--seed", "8"])
     assert r.exit_code == 0, r.output
@@ -372,8 +373,9 @@ def test_run_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         written[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    assert sorted(written["1"]) == [f"synth_{s}" for s in ("closed.csv", "diff.csv", "open.csv",
-                                                           "table.txt")]
+    assert sorted(written["1"]) == [
+        "synth_closed.csv", "synth_diff.csv", "synth_open.csv", "synth_table.txt"
+    ]
     for name, data in written["1"].items():
         assert data == written["2"][name], name
 

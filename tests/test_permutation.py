@@ -327,7 +327,6 @@ class TestOneBlasThread:
         assert len(seen) == 2 and [count for _, count in seen] == [1, 1]
         assert get_threads() == before
 
-
     @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
     def test_the_study_hac_runs_on_two_threads_and_the_count_is_restored(
         self, blas, monkeypatch, fails
