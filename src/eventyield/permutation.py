@@ -42,24 +42,21 @@ BAND_LEVELS = (0.90, 0.95)
 
 
 class Statistic(Enum):
+    """The estimator of a cumulative path.  The number of position groups
+    says whether a panel is a difference: two groups give the first group's
+    path minus the second's."""
+
     OLS_PATH = "ols"
     LAD_PATH = "lad"
     MEDIAN_PATH = "median"
-    OLS_DIFFERENCE = "ols_diff"
-    LAD_DIFFERENCE = "lad_diff"
-    MEDIAN_DIFFERENCE = "median_diff"
-
-    @property
-    def is_difference(self) -> bool:
-        return self.value.endswith("_diff")
 
     @property
     def uses_regression(self) -> bool:
-        return not self.value.startswith("median")
+        return self is not Statistic.MEDIAN_PATH
 
 
-# Names of the path statistics, which are also the study estimators.
-ESTIMATORS = tuple(s.value for s in Statistic if not s.is_difference)
+# Names of the statistics, which are also the study estimators.
+ESTIMATORS = tuple(s.value for s in Statistic)
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def paths_at(
     design = design_at(data, w, positions, labels)
     # a regression difference comes from the daily coefficient differences
     columns = [(g, False) for g in labels] + ([(None, True)] if two_group else [])
-    lad = statistic in (Statistic.LAD_PATH, Statistic.LAD_DIFFERENCE)
+    lad = statistic is Statistic.LAD_PATH
     fit = fit_lad(design) if lad else fit_ols(design)
     if lad or hac_lags is None:
         return [accumulate_path(fit, g, contrast) for g, contrast in columns], None
@@ -262,11 +259,9 @@ def _placebo_result(
 
 
 def group_level_at(data, real: np.ndarray, spec: PermutationSpec) -> PermutationResult:
-    """Placebo distribution of a single-group statistic at the event positions
-    ``real`` on its ``statistic_data``, drawing K of the eligible positions
-    per replication: pool index i is position i + W."""
-    if spec.statistic.is_difference:
-        raise PermutationError("group-level permutation needs a non-difference statistic")
+    """Placebo distribution of one group's path of ``spec.statistic`` at the
+    event positions ``real`` on its ``statistic_data``, drawing K of the
+    eligible positions per replication: pool index i is position i + W."""
     if len(real) == 0:
         raise PermutationError("empty event set")
     w = spec.window
@@ -286,11 +281,10 @@ def permutation_group_level(
 
 
 def comparison_at(data, real: Positions, spec: PermutationSpec) -> PermutationResult:
-    """Placebo distribution of the A-B difference statistic at the groups'
-    positions ``real`` on its ``statistic_data``: per replication the pooled
-    positions are relabeled into disjoint samples of the real group sizes."""
-    if not spec.statistic.is_difference:
-        raise PermutationError("comparison permutation needs a difference statistic")
+    """Placebo distribution of the A-B difference of ``spec.statistic``'s
+    paths at the groups' positions ``real`` on its ``statistic_data``: per
+    replication the pooled positions are relabeled into disjoint samples of
+    the real group sizes."""
     if len(real[0]) == 0 or len(real[1]) == 0:
         raise PermutationError("both groups need at least one event")
     pool = np.concatenate(real)

@@ -465,8 +465,7 @@ def _emit_permutation(asset: PositionedAsset, config: StudyConfig, out_dir: Path
         (_slug(group), group_level_at, pos, level) for group, pos in zip(asset.groups, positions)
     ]
     if len(positions) == 2:
-        diff = replace(base, statistic=Statistic(f"{perm.statistic}_diff"))
-        panels.append(("diff", comparison_at, positions, diff))
+        panels.append(("diff", comparison_at, positions, base))
     written = []
     for suffix, permute, real, spec in panels:
         out_file = out_dir / f"{asset.label}_{suffix}_placebo.csv"

@@ -153,15 +153,6 @@ class TestGroupLevel:
         with pytest.raises(PermutationError, match="seed must be >= 0"):
             PermutationSpec(replications=5, statistic=Statistic.OLS_PATH, window=10, seed=-1)
 
-    def test_difference_statistic_rejected(self):
-        s = walk()
-        events = make_events(s.calendar, [60, 120])
-        spec = PermutationSpec(
-            replications=5, statistic=Statistic.MEDIAN_DIFFERENCE, window=10, seed=0
-        )
-        with pytest.raises(PermutationError):
-            permutation_group_level(s, events, spec)
-
 
 class TestComparison:
     @staticmethod
@@ -174,7 +165,7 @@ class TestComparison:
         s = walk()
         g = self.two_groups(s)
         spec = PermutationSpec(
-            replications=10, statistic=Statistic.MEDIAN_DIFFERENCE, window=10, seed=1
+            replications=10, statistic=Statistic.MEDIAN_PATH, window=10, seed=1
         )
         r = permutation_comparison(s, g, spec)
         assert r.observed.shape == (21,)
@@ -184,7 +175,7 @@ class TestComparison:
         s = walk()
         g = self.two_groups(s)
         spec = PermutationSpec(
-            replications=10, statistic=Statistic.OLS_DIFFERENCE, window=10, seed=1
+            replications=10, statistic=Statistic.OLS_PATH, window=10, seed=1
         )
         r1 = permutation_comparison(s, g, spec)
         r2 = permutation_comparison(s, g, spec)
@@ -194,15 +185,6 @@ class TestComparison:
         s = walk()
         a = self.two_groups(s).group_a
         g = GroupAssignment(a, EventSet(()), "Open", "Closed")
-        spec = PermutationSpec(
-            replications=5, statistic=Statistic.MEDIAN_DIFFERENCE, window=10, seed=0
-        )
-        with pytest.raises(PermutationError):
-            permutation_comparison(s, g, spec)
-
-    def test_non_difference_statistic_rejected(self):
-        s = walk()
-        g = self.two_groups(s)
         spec = PermutationSpec(
             replications=5, statistic=Statistic.MEDIAN_PATH, window=10, seed=0
         )
@@ -237,9 +219,7 @@ class TestCoverage:
             coverage_assessment(s, spec, group_size=group_size, horizon=5)
 
 
-    @pytest.mark.parametrize(
-        "statistic", [Statistic.MEDIAN_PATH, Statistic.LAD_PATH, Statistic.OLS_DIFFERENCE]
-    )
+    @pytest.mark.parametrize("statistic", [Statistic.MEDIAN_PATH, Statistic.LAD_PATH])
     def test_statistic_other_than_ols_rejected(self, statistic):
         s = walk(length=260)
         spec = PermutationSpec(replications=5, statistic=statistic, window=10, seed=0)
@@ -291,7 +271,7 @@ class TestOneBlasThread:
         groups = TestComparison.two_groups(s)
         ols = PermutationSpec(replications=4, statistic=Statistic.OLS_PATH, window=10, seed=0)
         lad = PermutationSpec(
-            replications=2, statistic=Statistic.LAD_DIFFERENCE, window=10, seed=0
+            replications=2, statistic=Statistic.LAD_PATH, window=10, seed=0
         )
         return {
             "ols_group": lambda: permutation_group_level(s, events, ols),
@@ -427,11 +407,11 @@ class TestReferenceLoop:
         """The study's first-minus-second path of ``statistic`` for two Event
         groups: a regression contrast of daily coefficients, or the
         difference of the two median paths."""
-        if statistic is Statistic.MEDIAN_DIFFERENCE:
+        if statistic is Statistic.MEDIAN_PATH:
             return median_change(s, group_a, w).estimates - median_change(s, group_b, w).estimates
         returns = to_returns(s)
         design = build_design(returns, StudySpec(w, GroupAssignment(group_a, group_b, "A", "B")))
-        if statistic is Statistic.LAD_DIFFERENCE:
+        if statistic is Statistic.LAD_PATH:
             return accumulate_lad_path(fit_lad(design), contrast=True).estimates
         fit = fit_ols(design)
         return cumulative_path(fit, hac_covariance(design, fit, 10), contrast=True).estimates
@@ -463,12 +443,12 @@ class TestReferenceLoop:
         self.assert_same_result(result, path_diff(real_a, real_b), paths)
 
     def test_lad_difference_comparison(self):
-        self.check_difference_comparison(Statistic.LAD_DIFFERENCE, replications=8)
+        self.check_difference_comparison(Statistic.LAD_PATH, replications=8)
 
     # each group's path is built beside the difference, which must still be
     # the coefficient contrast for OLS and the difference of medians
     @pytest.mark.parametrize(
-        "statistic", [Statistic.OLS_DIFFERENCE, Statistic.MEDIAN_DIFFERENCE], ids=lambda s: s.value
+        "statistic", [Statistic.OLS_PATH, Statistic.MEDIAN_PATH], ids=["ols_diff", "median_diff"]
     )
     def test_difference_comparison(self, statistic):
         self.check_difference_comparison(statistic, replications=40)
