@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,11 +54,6 @@ class DesignMatrix:
             a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @cached_property
-    def rank(self) -> int:
-        """Numerical column rank of ``matrix``, computed on first use."""
-        return matrix_rank(self.matrix)
 
     @property
     def n_rows(self) -> int:
@@ -153,11 +147,3 @@ def aligned_positions(events: EventSet, calendar: TradingCalendar, w: int) -> np
     """Calendar positions of ``events`` once each date is aligned onto the
     calendar; every +-w window must lie inside it."""
     return np.asarray(event_positions(align_events(events, calendar), calendar, w))
-
-
-def matrix_rank(x: np.ndarray) -> int:
-    """Rank by singular values against RANK_TOL x the largest."""
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))

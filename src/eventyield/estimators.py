@@ -79,7 +79,7 @@ def linprog(*args, **kwargs):
 def fit_ols(design: DesignMatrix) -> RegressionFit:
     """Least squares via SVD; requires full column rank.  ``lstsq`` returns
     the rank of the matrix it factorises, under the same RANK_TOL rule as
-    ``DesignMatrix.rank``, so the fit is one factorisation."""
+    ``fit_lad``'s rank, so the fit is one factorisation."""
     x, y = design.matrix, design.response
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=RANK_TOL)
     _check_rank(design, rank)
@@ -98,7 +98,7 @@ def fit_lad(design: DesignMatrix) -> RegressionFit:
     """
     import scipy.sparse as sp
 
-    _check_rank(design, design.rank)
+    _check_rank(design, np.linalg.matrix_rank(design.matrix, rtol=RANK_TOL))
     x, y = design.matrix, design.response
     n, p = x.shape
     c = np.concatenate([np.zeros(p), np.ones(2 * n)])

@@ -104,6 +104,9 @@ class StudyConfig:
         if self.hac_lags < 0:
             raise ConfigError("hac_lags must be >= 0")
         _check_estimator("estimator", self.estimator)
+        if self.years is not None and self.years[0] > self.years[1]:
+            first, last = self.years
+            raise ConfigError(f"years: first year {first} is after last year {last}")
         labels = set()
         for asset in self.assets:
             if asset.kind not in ("fred", "ohlc", "forecast"):
@@ -362,12 +365,26 @@ def _parse_path_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
     if table.header != PATH_COLUMNS:
         raise IngestError(f"not a path CSV (expected the columns {', '.join(PATH_COLUMNS)})")
     rows = list(enumerate(table.rows, start=2))
-    days = np.array([int(parse_number(row[0], i)) for i, row in rows])
+    days = np.array([_parse_day(row[0], i) for i, row in rows])
     est = np.array([parse_number(row[1], i) for i, row in rows])
     se = None
     if any(row[2] for _, row in rows):
-        se = np.array([parse_number(row[2], i) for i, row in rows])
+        se = np.array([_parse_se(row[2], i) for i, row in rows])
     return days, est, se
+
+
+def _parse_day(cell: str, row: int) -> int:
+    day = parse_number(cell, row)
+    if not day.is_integer():
+        raise IngestError(f"relative_day {cell!r} is not an integer", row=row)
+    return int(day)
+
+
+def _parse_se(cell: str, row: int) -> float:
+    se = parse_number(cell, row)
+    if se < 0:
+        raise IngestError(f"negative se {cell!r}", row=row)
+    return se
 
 
 def read_path_csv(path: str | Path, label: str | None = None) -> CumulativePath:
@@ -457,7 +474,6 @@ def _emit_permutation(asset: PositionedAsset, config: StudyConfig, out_dir: Path
         statistic=Statistic(perm.statistic),
         window=config.window,
         seed=perm.seed,
-        hac_lags=config.hac_lags,
     )
     # group-level panels draw samples of the smaller group's size
     level = replace(base, k=min(len(pos) for pos in positions))

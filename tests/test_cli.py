@@ -263,13 +263,22 @@ def test_config_value_of_wrong_type(tmp_path, synth_data, extra, key):
     [
         ({"hac_lags": -1}, "hac_lags must be >= 0"),
         ({"permutation": {"seed": -1}}, "permutation.seed must be >= 0"),
+        ({"years": [2025, 2022]}, "years: first year 2025 is after last year 2022"),
     ],
-    ids=["hac_lags", "permutation.seed"],
+    ids=["hac_lags", "permutation.seed", "years"],
 )
 def test_config_value_out_of_range(tmp_path, synth_data, extra, message):
     cfg = make_config(tmp_path, synth_data, **extra)
     r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
     assert_clean_failure(r, message)
+
+
+@pytest.mark.parametrize("command", ["run", "permute"])
+def test_reversed_years_option_is_named(tmp_path, synth_data, command):
+    cfg = make_config(tmp_path, synth_data)
+    r = CliRunner().invoke(main, [command, "--config", str(cfg), "--years", "2025..2022"])
+    assert_clean_failure(r, "Error: years: first year 2025 is after last year 2022")
+    assert not (tmp_path / "out").exists()
 
 
 def test_table_rejects_a_placebo_csv(tmp_path, synth_data):

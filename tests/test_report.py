@@ -164,8 +164,10 @@ class TestPathCsvRoundTrip:
         "row, message",
         [("1,2.0,0.5,1,2,3", "row 3: expected 7 cells, got 6"),
          ("1,abc,0.5,1,2,3,4", "row 3: non-numeric value 'abc'"),
-         ("1,2.0,,1,2,3,4", "row 3: non-numeric value ''")],
-        ids=["short", "non-numeric", "missing-se"],
+         ("1,2.0,,1,2,3,4", "row 3: non-numeric value ''"),
+         ("1.5,2.0,0.5,1,2,3,4", "row 3: relative_day '1.5' is not an integer"),
+         ("1,2.0,-1,1,2,3,4", "row 3: negative se '-1'")],
+        ids=["short", "non-numeric", "missing-se", "fractional-day", "negative-se"],
     )
     def test_bad_row_named(self, tmp_path, row, message):
         f = tmp_path / "p.csv"
