@@ -202,9 +202,7 @@ def test_one_rank_factorisation_per_design(monkeypatch, fit, expected):
     # build_design computes no rank; an OLS fit takes its rank from lstsq,
     # and a LAD fit computes it once, by numpy's matrix_rank (one SVD)
     calls = []
-    monkeypatch.setattr(
-        np.linalg, "matrix_rank", counting(calls, "rank", np.linalg.matrix_rank)
-    )
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting(calls, "rank", np.linalg.matrix_rank))
     monkeypatch.setattr(np.linalg, "svd", counting(calls, "svd", np.linalg.svd))
     rng = np.random.default_rng(8)
     vals = 4.0 + np.cumsum(0.05 * rng.standard_normal(200))
