@@ -219,40 +219,30 @@ def _two_sided_p(est: np.ndarray, se: np.ndarray) -> np.ndarray:
     return p
 
 
-def _selector(design: DesignMatrix, r: int, group: str | None, contrast: bool) -> np.ndarray:
-    w = design.window
-    e = np.zeros(design.n_cols)
-    for s in range(-w + 1, r + 1):
-        if contrast:
-            e[design.column_index(0, s)] += 1.0
-            e[design.column_index(1, s)] -= 1.0
-        else:
-            e[design.column_index(group, s)] += 1.0
-    return e
-
-
-def _path_estimates(fit: RegressionFit, group: str | None, contrast: bool) -> np.ndarray:
-    design = fit.design
-    w = design.window
+def _path_weights(
+    design: DesignMatrix, group: str | None = None, contrast: bool = False
+) -> tuple[str, np.ndarray]:
+    """The label of one group's path (the first group by default), or of the
+    first-minus-second contrast, and its (2W+1) x p weights: row s picks
+    day s's dummy of the group, or the first group's minus the second's."""
+    days = np.arange(design.block_width)
+    weights = np.zeros((design.block_width, design.n_cols))
     if contrast:
         if len(design.group_labels) != 2:
             raise EstimationError("contrast path requires a two-group design")
-        daily = (
-            fit.coefficients[design.column_index(0, -w) : design.column_index(0, w) + 1]
-            - fit.coefficients[design.column_index(1, -w) : design.column_index(1, w) + 1]
-        )
+        label = f"{design.group_labels[0]} - {design.group_labels[1]}"
+        weights[days, design.column_index(0, -design.window) + days] = 1.0
+        weights[days, design.column_index(1, -design.window) + days] = -1.0
     else:
-        g = design.group_index(group if group is not None else design.group_labels[0])
-        daily = fit.coefficients[design.column_index(g, -w) : design.column_index(g, w) + 1]
-    est = np.cumsum(daily)
-    # re-base so the path is zero at r = -W (its own coefficient excluded)
-    return est - daily[0]
+        label = group if group is not None else design.group_labels[0]
+        weights[days, design.column_index(label, -design.window) + days] = 1.0
+    return label, weights
 
 
-def _path_label(design: DesignMatrix, group: str | None, contrast: bool) -> str:
-    if contrast:
-        return f"{design.group_labels[0]} - {design.group_labels[1]}"
-    return group if group is not None else design.group_labels[0]
+def _cumulate(a: np.ndarray) -> np.ndarray:
+    """Prefix sums over relative days, re-based so the path is zero at
+    r = -W (its own day excluded)."""
+    return np.cumsum(a, axis=0) - a[0]
 
 
 def cumulative_path(
@@ -262,22 +252,18 @@ def cumulative_path(
     contrast: bool = False,
 ) -> CumulativePath:
     """Cumulative estimates with HAC inference for one group, or for the
-    first-minus-second group contrast."""
+    first-minus-second group contrast.  Day r's SE is sqrt(e'Ve) for row r
+    of the cumulated weights, one row at a time."""
     design = fit.design
     if cov.matrix.shape != (design.n_cols, design.n_cols):
         raise EstimationError("covariance does not match the design dimensions")
-    if group is None and not contrast:
-        group = design.group_labels[0]
-    w = design.window
-    est = _path_estimates(fit, group, contrast)
-    ses = np.empty(2 * w + 1)
-    for i, r in enumerate(range(-w, w + 1)):
-        e = _selector(design, r, group, contrast)
-        ses[i] = np.sqrt(max(float(e @ cov.matrix @ e), 0.0))
+    label, weights = _path_weights(design, group, contrast)
+    est = _cumulate(weights @ fit.coefficients)
+    ses = np.array([np.sqrt(max(float(e @ cov.matrix @ e), 0.0)) for e in _cumulate(weights)])
     pvalues = _two_sided_p(est, ses)
     return CumulativePath(
-        label=_path_label(design, group, contrast),
-        rel_days=np.arange(-w, w + 1),
+        label=label,
+        rel_days=np.arange(-design.window, design.window + 1),
         estimates=est,
         ses=ses,
         pvalues=pvalues,
@@ -301,10 +287,11 @@ def accumulate_path(
     """Prefix sums of the daily coefficients of one group, or of the
     first-minus-second group contrast, without inference."""
     design = fit.design
+    label, weights = _path_weights(design, group, contrast)
     return CumulativePath(
-        label=_path_label(design, group, contrast),
+        label=label,
         rel_days=np.arange(-design.window, design.window + 1),
-        estimates=_path_estimates(fit, group, contrast),
+        estimates=_cumulate(weights @ fit.coefficients),
     )
 
 

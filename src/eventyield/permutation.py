@@ -24,8 +24,8 @@ from .estimators import (
     Z90,
     Z95,
     CumulativePath,
-    _path_estimates,
-    _selector,
+    _cumulate,
+    _path_weights,
     accumulate_path,
     constant_stats,
     cumulative_path,
@@ -328,17 +328,18 @@ def coverage_assessment(
     h = horizon + w
     hits90 = 0
     hits95 = 0
-    e = None
+    weights = None
     with _blas_threads(1):
         for b in range(spec.replications):
             placebo = _draw(n, group_size, substream(spec.seed, b)) + w
             design = design_at(returns, w, (placebo,), ("All",))
             fit = fit_ols(design)
-            if e is None:
+            if weights is None:
                 # every placebo design has the same columns
-                e = _selector(design, horizon, "All", False)
+                _, weights = _path_weights(design)
+                e = _cumulate(weights)[h]
             # the horizon's entry of cumulative_path, without the other days
-            est = _path_estimates(fit, None, contrast=False)[h]
+            est = _cumulate(weights @ fit.coefficients)[h]
             se = np.sqrt(max(hac_variance(design, fit, spec.hac_lags, e), 0.0))
             if abs(est) <= Z90 * se:
                 hits90 += 1

@@ -22,7 +22,14 @@ from eventyield import (
     median_change,
     to_returns,
 )
-from eventyield.estimators import Z90, Z95, _selector, _two_sided_p
+from eventyield.estimators import (
+    Z90,
+    Z95,
+    _cumulate,
+    _path_weights,
+    _two_sided_p,
+    accumulate_path,
+)
 from conftest import level_series, make_events
 
 
@@ -293,9 +300,10 @@ class TestHacVariance:
 
     @staticmethod
     def selectors(dm):
-        for r in (-14, -3, 0, 7, 15):
-            for group, contrast in (("A", False), ("B", False), (None, True)):
-                yield _selector(dm, r, group, contrast)
+        for group, contrast in (("A", False), ("B", False), (None, True)):
+            rows = _cumulate(_path_weights(dm, group, contrast)[1])
+            for r in (-14, -3, 0, 7, 15):
+                yield rows[r + dm.window]
 
     @staticmethod
     def kernel_oracle(x, resid, lag, e):
@@ -322,7 +330,7 @@ class TestHacVariance:
 
     def test_lag_bounds_raise_as_the_matrix_does(self):
         dm, fit = next(self.designs())
-        e = _selector(dm, 0, "A", False)
+        e = _cumulate(_path_weights(dm, "A")[1])[dm.window]
         for lag in (-1, dm.n_rows):
             with pytest.raises(EstimationError) as matrix:
                 hac_covariance(dm, fit, lag)
@@ -360,6 +368,48 @@ class TestCumulativePath:
         pd = cumulative_path(fit, cov, contrast=True)
         assert np.allclose(pd.estimates, pa.estimates - pb.estimates, atol=1e-12)
         assert pd.label == "A - B"
+
+    @staticmethod
+    def selector_loop(dm, r, group, contrast):
+        """Day r's SE vector, one unit entry per day in (-W, r]."""
+        e = np.zeros(dm.n_cols)
+        for s in range(-dm.window + 1, r + 1):
+            if contrast:
+                e[dm.column_index(0, s)] += 1.0
+                e[dm.column_index(1, s)] -= 1.0
+            else:
+                e[dm.column_index(group, s)] += 1.0
+        return e
+
+    def test_ses_bit_equal_to_the_per_day_loop(self):
+        for seed in (4, 9, 21):
+            rng = np.random.default_rng(seed)
+            vals = 4.0 + np.cumsum(0.0003 * rng.standard_normal(200))
+            _, dm = two_group_design(vals, [40, 100], [55, 123], window=15)
+            fit = fit_ols(dm)
+            cov = hac_covariance(dm, fit, lag=10)
+            for group, contrast in (("A", False), ("B", False), (None, True)):
+                expected = []
+                for r in range(-dm.window, dm.window + 1):
+                    e = self.selector_loop(dm, r, group, contrast)
+                    expected.append(np.sqrt(max(float(e @ cov.matrix @ e), 0.0)))
+                ses = cumulative_path(fit, cov, group, contrast).ses
+                assert ses.tolist() == expected
+
+    def test_contrast_on_a_pooled_design_and_an_unknown_group_rejected(self):
+        rng = np.random.default_rng(5)
+        vals = 4.0 + np.cumsum(0.0003 * rng.standard_normal(200))
+        r, two = two_group_design(vals, [40, 100], [55, 123], window=15)
+        pooled = build_design(r, StudySpec(window=15, groups=make_events(r.calendar, [40, 100])))
+
+        def with_inference(fit, **kwargs):
+            return cumulative_path(fit, hac_covariance(fit.design, fit, 10), **kwargs)
+
+        for path in (with_inference, accumulate_path):
+            with pytest.raises(EstimationError, match="contrast path requires a two-group design"):
+                path(fit_ols(pooled), contrast=True)
+            with pytest.raises(DesignError, match="unknown group 'C'"):
+                path(fit_ols(two), group="C")
 
     def test_constant_stats(self):
         rng = np.random.default_rng(6)
