@@ -295,6 +295,10 @@ def format_cell(estimate_bp: float, p: float) -> str:
     return f"{bp:.1f} ({p_str}){stars}"
 
 
+def _day_span(days: np.ndarray) -> str:
+    return f"{days[0]}..{days[-1]} ({len(days)} days)" if len(days) else "no days"
+
+
 def render_table(
     columns: list[CumulativePath],
     constant: tuple[float, float] | None = None,
@@ -307,9 +311,9 @@ def render_table(
     if not columns:
         raise ConfigError("no columns to render")
     days = columns[0].rel_days
-    for c in columns[1:]:
-        if not np.array_equal(c.rel_days, days):
-            raise ConfigError("columns cover different relative-day ranges")
+    if any(not np.array_equal(c.rel_days, days) for c in columns[1:]):
+        spans = ", ".join(f"{c.label!r} covers {_day_span(c.rel_days)}" for c in columns)
+        raise ConfigError(f"columns cover different relative days: {spans}")
     header = ["Day"] + [c.label for c in columns]
     rows = [header]
     for i, r in enumerate(days):
@@ -365,7 +369,14 @@ def _parse_path_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
     if table.header != PATH_COLUMNS:
         raise IngestError(f"not a path CSV (expected the columns {', '.join(PATH_COLUMNS)})")
     rows = list(enumerate(table.rows, start=2))
+    if not rows:
+        raise IngestError("no rows")
     days = np.array([_parse_day(row[0], i) for i, row in rows])
+    back = np.flatnonzero(np.diff(days) <= 0)
+    if back.size:
+        i = back[0] + 1
+        message = f"relative_day {days[i]} is not after the previous row's {days[i - 1]}"
+        raise IngestError(message, row=rows[i][0])
     est = np.array([parse_number(row[1], i) for i, row in rows])
     se = None
     if any(row[2] for _, row in rows):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 from datetime import date
@@ -96,7 +97,8 @@ class TestRenderTable:
     def test_mismatched_ranges_rejected(self):
         a = self.path("A", [0, 1], [0.0, 0.1])
         b = self.path("B", [0, 1, 2], [0.0, 0.1, 0.2])
-        with pytest.raises(ConfigError):
+        spans = "'A' covers 0..1 (2 days), 'B' covers 0..2 (3 days)"
+        with pytest.raises(ConfigError, match=re.escape(spans)):
             render_table([a, b])
 
     def test_empty_rejected(self):
@@ -166,8 +168,11 @@ class TestPathCsvRoundTrip:
          ("1,abc,0.5,1,2,3,4", "row 3: non-numeric value 'abc'"),
          ("1,2.0,,1,2,3,4", "row 3: non-numeric value ''"),
          ("1.5,2.0,0.5,1,2,3,4", "row 3: relative_day '1.5' is not an integer"),
-         ("1,2.0,-1,1,2,3,4", "row 3: negative se '-1'")],
-        ids=["short", "non-numeric", "missing-se", "fractional-day", "negative-se"],
+         ("1,2.0,-1,1,2,3,4", "row 3: negative se '-1'"),
+         ("0,2.0,0.5,1,2,3,4", "row 3: relative_day 0 is not after the previous row's 0"),
+         ("-1,2.0,0.5,1,2,3,4", "row 3: relative_day -1 is not after the previous row's 0")],
+        ids=["short", "non-numeric", "missing-se", "fractional-day", "negative-se",
+             "repeated-day", "backward-day"],
     )
     def test_bad_row_named(self, tmp_path, row, message):
         f = tmp_path / "p.csv"
@@ -175,11 +180,17 @@ class TestPathCsvRoundTrip:
         with pytest.raises(ConfigError, match=f"p.csv: {message}"):
             read_path_csv(f)
 
+    def test_header_only_rejected(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(",".join(PATH_COLUMNS) + "\n")
+        with pytest.raises(ConfigError, match="p.csv: no rows"):
+            read_path_csv(f)
+
     @given(
         st.lists(
             st.tuples(st.integers(-1000, 1000), _bounded, st.floats(1e-100, 1e100)),
-            min_size=1, max_size=30,
-        ),
+            min_size=1, max_size=30, unique_by=lambda r: r[0],
+        ).map(sorted),
         st.booleans(),
     )
     def test_emit_then_read(self, tmp_path_factory, rows, with_se):
