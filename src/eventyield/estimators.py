@@ -45,14 +45,13 @@ class HacCovariance:
     """Bartlett-kernel HAC covariance of all coefficients."""
 
     matrix: np.ndarray
-    lag: int
 
 
 @dataclass(frozen=True)
 class CumulativePath:
     """Per relative day r in [-W, W]: cumulative estimate, and (for OLS with
     HAC) standard error, two-sided normal p-value, and 90%/95% CIs.  The
-    inference arrays are None for LAD and median paths."""
+    inference arrays are None for LAD, median and placebo paths."""
 
     label: str
     rel_days: np.ndarray
@@ -142,7 +141,7 @@ def hac_covariance(design: DesignMatrix, fit: RegressionFit, lag: int) -> HacCov
     xtx_inv = np.linalg.inv(x.T @ x)
     cov = xtx_inv @ s @ xtx_inv
     cov = (cov + cov.T) / 2.0
-    return HacCovariance(matrix=cov, lag=lag)
+    return HacCovariance(matrix=cov)
 
 
 def hac_variance(design: DesignMatrix, fit: RegressionFit, lag: int, e: np.ndarray) -> float:
@@ -247,23 +246,26 @@ def _cumulate(a: np.ndarray) -> np.ndarray:
 
 def cumulative_path(
     fit: RegressionFit,
-    cov: HacCovariance,
+    cov: HacCovariance | None = None,
     group: str | None = None,
     contrast: bool = False,
 ) -> CumulativePath:
-    """Cumulative estimates with HAC inference for one group, or for the
-    first-minus-second group contrast.  Day r's SE is sqrt(e'Ve) for row r
-    of the cumulated weights, one row at a time."""
+    """Cumulative estimates for one group, or for the first-minus-second
+    group contrast, with HAC inference when ``cov`` is given.  Day r's SE is
+    sqrt(e'Ve) for row r of the cumulated weights, one row at a time."""
     design = fit.design
+    label, weights = _path_weights(design, group, contrast)
+    rel_days = np.arange(-design.window, design.window + 1)
+    est = _cumulate(weights @ fit.coefficients)
+    if cov is None:
+        return CumulativePath(label=label, rel_days=rel_days, estimates=est)
     if cov.matrix.shape != (design.n_cols, design.n_cols):
         raise EstimationError("covariance does not match the design dimensions")
-    label, weights = _path_weights(design, group, contrast)
-    est = _cumulate(weights @ fit.coefficients)
     ses = np.array([np.sqrt(max(float(e @ cov.matrix @ e), 0.0)) for e in _cumulate(weights)])
     pvalues = _two_sided_p(est, ses)
     return CumulativePath(
         label=label,
-        rel_days=np.arange(-design.window, design.window + 1),
+        rel_days=rel_days,
         estimates=est,
         ses=ses,
         pvalues=pvalues,
@@ -281,28 +283,14 @@ def constant_stats(fit: RegressionFit, cov: HacCovariance) -> tuple[float, float
     return mu, se, p
 
 
-def accumulate_path(
-    fit: RegressionFit, group: str | None = None, contrast: bool = False
-) -> CumulativePath:
-    """Prefix sums of the daily coefficients of one group, or of the
-    first-minus-second group contrast, without inference."""
-    design = fit.design
-    label, weights = _path_weights(design, group, contrast)
-    return CumulativePath(
-        label=label,
-        rel_days=np.arange(-design.window, design.window + 1),
-        estimates=_cumulate(weights @ fit.coefficients),
-    )
-
-
 def accumulate_lad_path(
     fit: RegressionFit, group: str | None = None, contrast: bool = False
 ) -> CumulativePath:
-    """``accumulate_path`` of a LAD fit; inference comes only from the
-    permutation module."""
+    """``cumulative_path`` of a LAD fit, without a covariance; inference
+    comes only from the permutation module."""
     if fit.method != "lad":
         raise EstimationError("accumulate_lad_path requires a LAD fit")
-    return accumulate_path(fit, group, contrast)
+    return cumulative_path(fit, None, group, contrast)
 
 
 def median_change(series: PriceSeries, events: EventSet, w: int) -> CumulativePath:

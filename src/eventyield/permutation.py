@@ -26,7 +26,6 @@ from .estimators import (
     CumulativePath,
     _cumulate,
     _path_weights,
-    accumulate_path,
     constant_stats,
     cumulative_path,
     fit_lad,
@@ -217,7 +216,7 @@ def paths_at(
     lad = statistic is Statistic.LAD_PATH
     fit = fit_lad(design) if lad else fit_ols(design)
     if lad or hac_lags is None:
-        return [accumulate_path(fit, g, contrast) for g, contrast in columns], None
+        return [cumulative_path(fit, None, g, contrast) for g, contrast in columns], None
     # The HAC lag products are strided gemm calls whose low bits depend on
     # the BLAS thread count, so the study's inference always runs on two
     # threads: the count its recorded outputs were made with, whatever the

@@ -28,7 +28,6 @@ from eventyield.estimators import (
     _cumulate,
     _path_weights,
     _two_sided_p,
-    accumulate_path,
 )
 from conftest import level_series, make_events
 
@@ -405,11 +404,25 @@ class TestCumulativePath:
         def with_inference(fit, **kwargs):
             return cumulative_path(fit, hac_covariance(fit.design, fit, 10), **kwargs)
 
-        for path in (with_inference, accumulate_path):
+        for path in (with_inference, cumulative_path):
             with pytest.raises(EstimationError, match="contrast path requires a two-group design"):
                 path(fit_ols(pooled), contrast=True)
             with pytest.raises(DesignError, match="unknown group 'C'"):
                 path(fit_ols(two), group="C")
+
+    def test_without_a_covariance_only_the_estimates(self):
+        rng = np.random.default_rng(14)
+        vals = 4.0 + np.cumsum(0.0003 * rng.standard_normal(200))
+        _, dm = two_group_design(vals, [40, 100], [55, 123], window=15)
+        fit = fit_ols(dm)
+        cov = hac_covariance(dm, fit, lag=10)
+        for group, contrast in (("A", False), ("B", False), (None, True)):
+            bare = cumulative_path(fit, None, group, contrast)
+            full = cumulative_path(fit, cov, group, contrast)
+            assert bare.label == full.label
+            assert bare.rel_days.tolist() == full.rel_days.tolist()
+            assert bare.estimates.tolist() == full.estimates.tolist()
+            assert bare.ses is bare.pvalues is bare.ci90 is bare.ci95 is None
 
     def test_constant_stats(self):
         rng = np.random.default_rng(6)
@@ -475,6 +488,18 @@ class TestLadPath:
         dm = random_design(rng)
         with pytest.raises(EstimationError):
             accumulate_lad_path(fit_ols(dm))
+
+    def test_is_the_path_without_a_covariance(self):
+        rng = np.random.default_rng(18)
+        vals = 4.0 + np.cumsum(0.0003 * rng.standard_normal(200))
+        _, dm = two_group_design(vals, [40, 100], [55, 123], window=15)
+        lad = fit_lad(dm)
+        for kwargs in ({}, {"group": "B"}, {"contrast": True}):
+            path, bare = accumulate_lad_path(lad, **kwargs), cumulative_path(lad, **kwargs)
+            assert path.label == bare.label
+            assert path.rel_days.tolist() == bare.rel_days.tolist()
+            assert path.estimates.tolist() == bare.estimates.tolist()
+            assert path.ses is path.pvalues is path.ci90 is path.ci95 is None
 
     def test_no_inference_arrays(self):
         rng = np.random.default_rng(17)
