@@ -39,6 +39,11 @@ from .series import PriceSeries, to_returns
 
 BAND_LEVELS = (0.90, 0.95)
 
+# The largest replication count a panel takes: 200 times the 5000 the CLI
+# runs by default, and small enough that the (replications x 2W+1) array of
+# placebo paths can be allocated.
+MAX_REPLICATIONS = 10**6
+
 
 class Statistic(Enum):
     """The estimator of a cumulative path.  The number of position groups
@@ -74,6 +79,8 @@ class PermutationSpec:
     def __post_init__(self):
         if self.replications < 1:
             raise PermutationError("replications must be >= 1")
+        if self.replications > MAX_REPLICATIONS:
+            raise PermutationError(f"replications must be <= {MAX_REPLICATIONS}")
         if self.window < 1:
             raise PermutationError("window must be >= 1")
         if self.k is not None and self.k < 1:
@@ -82,6 +89,8 @@ class PermutationSpec:
             raise PermutationError("hac_lags must be >= 0")
         if self.seed < 0:
             raise PermutationError("seed must be >= 0")
+        if self.seed >= 2**64:
+            raise PermutationError("seed must be < 2**64")
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,8 @@ def _blas_threads(n: int):
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replication, keyed on (seed, index)."""
+    """Independent generator for one replication, keyed on (seed, index),
+    each a 64-bit word of the Philox key."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 

@@ -40,6 +40,7 @@ from .ingest import (
 )
 from .permutation import (
     ESTIMATORS,
+    MAX_REPLICATIONS,
     PermutationResult,
     PermutationSpec,
     Statistic,
@@ -78,8 +79,12 @@ class PermutationConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("permutation.replications must be >= 1")
+        if self.replications > MAX_REPLICATIONS:
+            raise ConfigError(f"permutation.replications must be <= {MAX_REPLICATIONS}")
         if self.seed < 0:
             raise ConfigError("permutation.seed must be >= 0")
+        if self.seed >= 2**64:
+            raise ConfigError("permutation.seed must be < 2**64")
         _check_estimator("permutation.statistic", self.statistic)
 
 
@@ -431,13 +436,16 @@ class PositionedAsset:
 
 def position_asset(config: StudyConfig, groups, asset: AssetConfig, study=True) -> PositionedAsset:
     """Load the asset, and align and position each group once per calendar
-    that the estimator or the placebo statistic reads, the return calendar
-    first.  Every error from aligning or positioning (a window that leaves a
-    calendar is a DesignError) names the asset, as does the ConfigError for
-    a ``hac_lags`` at or beyond an OLS ``study``'s row count."""
+    that the estimator (for a ``study``) or the placebo statistic reads, the
+    return calendar first.  Every error from aligning or positioning (a
+    window that leaves a calendar is a DesignError) names the asset, as does
+    the ConfigError for a ``hac_lags`` at or beyond an OLS ``study``'s row
+    count."""
     series = load_asset(asset)
     labelled = labelled_groups(groups)
-    names = [config.estimator] + ([config.permutation.statistic] if config.permutation else [])
+    names = [config.estimator] if study else []
+    if config.permutation:
+        names.append(config.permutation.statistic)
     reads = {}
     try:
         for regression in (True, False):

@@ -32,6 +32,11 @@ class SynthSpec:
             raise SeriesError("sigma must be >= 0")
         if self.length < 2:
             raise SeriesError("length must be >= 2")
+        # the seed is the 128-bit Philox key
+        if self.seed < 0:
+            raise SeriesError("seed must be >= 0")
+        if self.seed >= 2**128:
+            raise SeriesError("seed must be < 2**128")
 
 
 def weekday_calendar(start: date, length: int) -> TradingCalendar:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -264,13 +265,54 @@ def test_config_value_of_wrong_type(tmp_path, synth_data, extra, key):
         ({"hac_lags": -1}, "hac_lags must be >= 0"),
         ({"permutation": {"seed": -1}}, "permutation.seed must be >= 0"),
         ({"years": [2025, 2022]}, "years: first year 2025 is after last year 2022"),
+        ({"permutation": {"seed": 2**64}}, "permutation.seed must be < 2**64"),
+        ({"permutation": {"replications": 10**20}},
+         "permutation.replications must be <= 1000000"),
     ],
-    ids=["hac_lags", "permutation.seed", "years"],
+    ids=["hac_lags", "permutation.seed", "years", "permutation.seed-2**64",
+         "permutation.replications-10**20"],
 )
 def test_config_value_out_of_range(tmp_path, synth_data, extra, message):
     cfg = make_config(tmp_path, synth_data, **extra)
     r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
     assert_clean_failure(r, message)
+
+
+@pytest.mark.parametrize(
+    "perm, options, message",
+    [
+        ({"replications": 10**20}, [], "permutation.replications must be <= 1000000"),
+        ({"replications": 2}, ["--replications", str(10**20)],
+         "permutation.replications must be <= 1000000"),
+        ({"seed": 10**20}, [], "permutation.seed must be < 2**64"),
+        ({"replications": 2}, ["--seed", str(2**64)], "permutation.seed must be < 2**64"),
+    ],
+    ids=["replications", "replications-option", "seed", "seed-option"],
+)
+def test_a_seed_or_replication_count_out_of_range_writes_nothing(
+    tmp_path, synth_data, perm, options, message
+):
+    cfg = make_config(tmp_path, synth_data, permutation=perm)
+    # an option is checked by the one command that takes it
+    for command in [["run", *options]] if options else [["validate"], ["run"]]:
+        r = CliRunner().invoke(main, [*command, "--config", str(cfg)])
+        assert_clean_failure(r, message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_largest_seed_is_accepted(tmp_path, synth_data):
+    perm = {"replications": 2, "seed": 2**64 - 1}
+    seeded = make_config(tmp_path, synth_data, "a.yaml", output_dir="a", permutation=perm)
+    reseeded = make_config(
+        tmp_path, synth_data, "b.yaml", output_dir="b", permutation={"replications": 2}
+    )
+    runner = CliRunner()
+    for args in (["validate", "--config", str(seeded)], ["run", "--config", str(seeded)],
+                 ["run", "--config", str(reseeded), "--seed", str(2**64 - 1)]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+    for f in sorted((tmp_path / "a").iterdir()):
+        assert (tmp_path / "b" / f.name).read_bytes() == f.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["run", "permute"])
@@ -328,6 +370,37 @@ def test_median_window_uses_the_price_calendar(tmp_path, synth_data):
     cfg = make_config(tmp_path, synth_data, window=57, estimator="median")
     r = runner.invoke(main, ["validate", "--config", str(cfg)])
     assert_clean_failure(r, "+-57 day window leaves the calendar")
+
+
+def test_permute_checks_only_the_calendar_its_statistic_reads(tmp_path, synth_data):
+    # the first event moves to price position 15: its +-15 day window fits the
+    # price calendar that the median reads, not the return calendar of the
+    # OLS study
+    day_15 = (synth_data / "synth_prices.csv").read_text().splitlines()[16].split(",")[0]
+    events = synth_data / "synth_events.csv"
+    lines = events.read_text().splitlines()
+    lines[1] = day_15 + lines[1][len(day_15):]
+    events.write_text("\n".join(lines) + "\n")
+    perm = {"replications": 3, "statistic": "median"}
+    with_section = make_config(tmp_path, synth_data, "a.yaml", output_dir="a", permutation=perm)
+    without = make_config(tmp_path, synth_data, "b.yaml", output_dir="b")
+    runner = CliRunner()
+    for args in (
+        ["--config", str(with_section)],
+        ["--config", str(without), "--statistic", "median", "--replications", "3"],
+    ):
+        r = runner.invoke(main, ["permute", *args])
+        assert r.exit_code == 0, r.output
+    names = [f"synth_{g}_placebo.csv" for g in ("closed", "diff", "open")]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == names
+    shutil.rmtree(tmp_path / "a")
+    for command in ("validate", "run"):
+        r = runner.invoke(main, [command, "--config", str(with_section)])
+        assert_clean_failure(r, "event synthetic-0 on ")
+        assert "+-15 day window leaves the calendar" in r.output
+    assert not (tmp_path / "a").exists()
 
 
 @pytest.fixture
@@ -448,9 +521,11 @@ def test_files_with_a_byte_order_mark_are_read(tmp_path, synth_data):
      (["--events-per-group", "400"], "2 x --events-per-group 400 windows of +-15 days"),
      (["--window", "0"], "--window must be >= 1"),
      (["--events-per-group", "0"], "--events-per-group must be >= 1"),
-     (["--events-per-group", "-1"], "--events-per-group must be >= 1")],
+     (["--events-per-group", "-1"], "--events-per-group must be >= 1"),
+     (["--seed", "-1"], "seed must be >= 0"),
+     (["--seed", str(2**128)], "seed must be < 2**128")],
     ids=["length-1", "negative-sigma", "length-20", "400-per-group", "window-0", "0-per-group",
-         "negative-per-group"],
+         "negative-per-group", "negative-seed", "seed-2**128"],
 )
 def test_synth_rejects_options_in_one_line(tmp_path, options, message):
     out = tmp_path / "data"

@@ -30,7 +30,7 @@ from eventyield import (
     to_returns,
 )
 from eventyield import permutation
-from eventyield.permutation import Z90, Z95, _eligible_pool, substream
+from eventyield.permutation import MAX_REPLICATIONS, Z90, Z95, _eligible_pool, substream
 from conftest import log_series, make_events
 
 
@@ -152,6 +152,14 @@ class TestGroupLevel:
     def test_negative_seed_rejected(self):
         with pytest.raises(PermutationError, match="seed must be >= 0"):
             PermutationSpec(replications=5, statistic=Statistic.OLS_PATH, window=10, seed=-1)
+
+    def test_seed_and_replications_beyond_their_range_rejected(self):
+        base = dict(statistic=Statistic.OLS_PATH, window=10)
+        PermutationSpec(replications=MAX_REPLICATIONS, seed=2**64 - 1, **base)
+        with pytest.raises(PermutationError, match=r"seed must be < 2\*\*64"):
+            PermutationSpec(replications=5, seed=2**64, **base)
+        with pytest.raises(PermutationError, match="replications must be <= 1000000"):
+            PermutationSpec(replications=MAX_REPLICATIONS + 1, seed=0, **base)
 
 
 class TestComparison:

@@ -444,6 +444,21 @@ class TestPositionOnce:
         self, tmp_path, monkeypatch, estimator, statistic, returns_per_asset,
         positionings_per_asset,
     ):
+        calls = self.count_calls(tmp_path, monkeypatch, estimator, statistic, run_study)
+        assert calls["to_returns"] == 2 * returns_per_asset
+        assert calls["aligned_positions"] == 2 * positionings_per_asset
+
+    def test_placebo_bands_alone_position_only_the_statistic_calendar(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self.count_calls(tmp_path, monkeypatch, "ols", "median", report.run_permutation)
+        assert calls["to_returns"] == 0
+        assert calls["aligned_positions"] == 2 * 2
+
+    @staticmethod
+    def count_calls(tmp_path, monkeypatch, estimator, statistic, run) -> Counter:
+        """The ``to_returns`` and ``aligned_positions`` calls of ``run`` on a
+        study of two identical assets."""
         perm = {"replications": 2, "seed": 0, "statistic": statistic}
         cfg = load_config(build_study_dir(tmp_path, permutation=perm, estimator=estimator))
         twin = replace(cfg.assets[0], label="twin")
@@ -461,6 +476,5 @@ class TestPositionOnce:
             for name in ("to_returns", "aligned_positions"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        run_study(cfg)
-        assert calls["to_returns"] == 2 * returns_per_asset
-        assert calls["aligned_positions"] == 2 * positionings_per_asset
+        run(cfg)
+        return calls

@@ -51,6 +51,12 @@ class TestGenerateWalk:
         with pytest.raises(SeriesError):
             SynthSpec(length=1, sigma=0.1)
 
+    def test_seed_is_a_128_bit_key(self):
+        generate_walk(SynthSpec(length=10, sigma=0.01, seed=2**128 - 1))
+        for seed in (-1, 2**128):
+            with pytest.raises(SeriesError, match="seed must be"):
+                SynthSpec(length=10, sigma=0.01, seed=seed)
+
 
 class TestInjectEffects:
     def test_level_step_applied_to_event_day_return(self):
