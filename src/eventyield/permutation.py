@@ -39,9 +39,9 @@ from .series import PriceSeries, to_returns
 
 BAND_LEVELS = (0.90, 0.95)
 
-# The largest replication count a panel takes: 200 times the 5000 the CLI
-# runs by default, and small enough that the (replications x 2W+1) array of
-# placebo paths can be allocated.
+# The largest replication count a panel takes, 200 times the CLI's default
+# of 5000.  A panel's placebo paths are one (replications x 2W+1) array, so a
+# count far beyond this cannot even be allocated.
 MAX_REPLICATIONS = 10**6
 
 
