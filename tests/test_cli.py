@@ -273,25 +273,22 @@ def test_config_value_of_wrong_type(tmp_path, synth_data, extra, key):
 )
 def test_config_value_out_of_range(tmp_path, synth_data, extra, message):
     cfg = make_config(tmp_path, synth_data, **extra)
-    r = CliRunner().invoke(main, ["validate", "--config", str(cfg)])
-    assert_clean_failure(r, message)
+    for command in ("validate", "run"):
+        r = CliRunner().invoke(main, [command, "--config", str(cfg)])
+        assert_clean_failure(r, message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "perm, options, message",
+    "options, message",
     [
-        ({"replications": 10**20}, [], "permutation.replications must be <= 1000000"),
-        ({"replications": 2}, ["--replications", str(10**20)],
-         "permutation.replications must be <= 1000000"),
-        ({"seed": 10**20}, [], "permutation.seed must be < 2**64"),
-        ({"replications": 2}, ["--seed", str(2**64)], "permutation.seed must be < 2**64"),
+        (["--replications", str(10**20)], "permutation.replications must be <= 1000000"),
+        (["--seed", str(2**64)], "permutation.seed must be < 2**64"),
     ],
-    ids=["replications", "replications-option", "seed", "seed-option"],
+    ids=["replications", "seed"],
 )
-def test_run_rejects_a_seed_or_replication_count_out_of_range(
-    tmp_path, synth_data, perm, options, message
-):
-    cfg = make_config(tmp_path, synth_data, permutation=perm)
+def test_run_rejects_an_option_out_of_range(tmp_path, synth_data, options, message):
+    cfg = make_config(tmp_path, synth_data, permutation={"replications": 2})
     r = CliRunner().invoke(main, ["run", "--config", str(cfg), *options])
     assert_clean_failure(r, message)
     assert not (tmp_path / "out").exists()
