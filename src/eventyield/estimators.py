@@ -307,8 +307,17 @@ def median_change(series: PriceSeries, events: EventSet, w: int) -> CumulativePa
 
 def median_at(values: np.ndarray, positions: np.ndarray, w: int) -> np.ndarray:
     """``median_change`` from the events' calendar positions, whose +-w
-    windows must lie inside ``values``."""
+    windows must lie inside ``values``.
+
+    Bit for bit ``np.median(diffs, axis=0)`` of finite values, from one
+    partition: the middle order statistic, or the two middle ones, averaged
+    as ``np.mean`` does, by a sum that starts from +0.0 (so a -0.0 median
+    comes out as +0.0)."""
     offsets = np.arange(-w, w + 1)
-    # baseline is day -w of each event
-    diffs = values[positions[:, None] + offsets[None, :]] - values[positions - w][:, None]
-    return np.median(diffs, axis=0)
+    # one row per relative day, one column per event; baseline is day -w
+    diffs = values[offsets[:, None] + positions[None, :]] - values[positions - w][None, :]
+    half = len(positions) // 2
+    if len(positions) % 2:
+        return 0.0 + np.partition(diffs, half, axis=1)[:, half]
+    part = np.partition(diffs, (half - 1, half), axis=1)
+    return (0.0 + part[:, half - 1] + part[:, half]) / 2

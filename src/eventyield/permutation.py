@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,6 +154,21 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """``substream(seed, b)`` for b in range(count), as one generator that is
+    re-keyed before each yield, so each is valid only until the next.  Philox
+    is counter-based: key (seed, b) with a zero counter and an empty buffer
+    is the stream a new generator starts (Salmon et al. 2011)."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    for b in range(count):
+        key[1] = b
+        bits.state = fresh
+        yield rng
+
+
 def _draw(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct indices into a pool of n, in increasing order."""
     return np.sort(rng.choice(n, size=k, replace=False))
@@ -256,8 +271,8 @@ def _placebo_result(
     with _blas_threads(1):
         observed = _statistic(data, real, spec)
         paths = np.empty((spec.replications, 2 * spec.window + 1))
-        for b in range(spec.replications):
-            paths[b] = _statistic(data, draw(substream(spec.seed, b)), spec)
+        for b, rng in enumerate(substreams(spec.seed, spec.replications)):
+            paths[b] = _statistic(data, draw(rng), spec)
     return PermutationResult(
         rel_days=np.arange(-spec.window, spec.window + 1),
         observed=observed,
@@ -339,8 +354,8 @@ def coverage_assessment(
     hits95 = 0
     weights = None
     with _blas_threads(1):
-        for b in range(spec.replications):
-            placebo = _draw(n, group_size, substream(spec.seed, b)) + w
+        for rng in substreams(spec.seed, spec.replications):
+            placebo = _draw(n, group_size, rng) + w
             design = design_at(returns, w, (placebo,), ("All",))
             fit = fit_ols(design)
             if weights is None:

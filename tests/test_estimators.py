@@ -28,6 +28,7 @@ from eventyield.estimators import (
     _cumulate,
     _path_weights,
     _two_sided_p,
+    median_at,
 )
 from conftest import level_series, make_events
 
@@ -553,3 +554,64 @@ class TestMedianChange:
         s = level_series([1.0] * 10)
         with pytest.raises(EstimationError):
             median_change(s, EventSet(()), w=2)
+
+
+class TestMedianAt:
+    """``median_at`` is ``np.median`` of the long differences, bit for bit."""
+
+    W = 3
+    TINY = np.finfo(float).smallest_subnormal
+    BIG = np.finfo(float).max
+
+    @classmethod
+    def laid_out(cls, columns):
+        """Values and positions whose long differences are ``columns`` (one
+        row per event, one column per relative day): each event gets its own
+        block, whose baseline day is +0.0, so x - 0.0 keeps every x."""
+        w = cls.W
+        rows = np.asarray(columns, dtype=float)
+        blocks = np.hstack([np.zeros((len(rows), 1)), rows[:, 1:]])
+        return blocks.ravel(), np.arange(len(rows)) * (2 * w + 1) + w
+
+    @classmethod
+    def assert_is_np_median(cls, values, positions):
+        w = cls.W
+        offsets = np.arange(-w, w + 1)
+        diffs = values[positions[:, None] + offsets[None, :]] - values[positions - w][:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.median(diffs, axis=0)
+            got = median_at(values, positions, w)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        return expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 23, 24])
+    def test_signed_zeros_and_subnormals(self, k):
+        t, big = self.TINY, self.BIG
+        hand = np.array([
+            [-0.0] * k,                                   # all -0.0: np.median gives +0.0
+            [(-0.0, 0.0)[i % 2] for i in range(k)],       # +0.0/-0.0 ties
+            [(t, -t, 2 * t)[i % 3] for i in range(k)],    # subnormals
+            [(-t, -0.0)[i % 2] for i in range(k)],
+            [(big, -big, big)[i % 3] for i in range(k)],  # an even mean overflows
+            [1.0 + i for i in range(k)],
+        ])
+        days = np.vstack([np.zeros(k), hand]).T
+        expected = self.assert_is_np_median(*self.laid_out(days))
+        # a bare middle pick would give -0.0 here
+        assert expected.view(np.uint64)[1] == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 23, 24])
+    def test_drawn_columns(self, k):
+        rng = np.random.default_rng(k)
+        t, big = self.TINY, self.BIG
+        special = np.array([0.0, -0.0, t, -t, 1e-310, -1e-310, 1.0, -1.0, big, -big])
+        for _ in range(200):
+            self.assert_is_np_median(*self.laid_out(rng.choice(special, (k, 2 * self.W + 1))))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 23, 24])
+    def test_overlapping_windows_of_a_walk(self, k):
+        rng = np.random.default_rng(100 + k)
+        values = 4.0 + np.cumsum(0.05 * rng.standard_normal(120))
+        for _ in range(50):
+            positions = np.sort(rng.integers(self.W, len(values) - self.W, k))
+            self.assert_is_np_median(values, positions)

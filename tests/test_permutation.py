@@ -30,7 +30,14 @@ from eventyield import (
     to_returns,
 )
 from eventyield import permutation
-from eventyield.permutation import MAX_REPLICATIONS, Z90, Z95, _eligible_pool, substream
+from eventyield.permutation import (
+    MAX_REPLICATIONS,
+    Z90,
+    Z95,
+    _eligible_pool,
+    substream,
+    substreams,
+)
 from conftest import log_series, make_events
 
 
@@ -47,6 +54,24 @@ class TestSubstream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_substreams_are_the_keyed_streams(self, seed):
+        for b, rng in enumerate(substreams(seed, 50)):
+            one = substream(seed, b)
+            assert np.array_equal(rng.choice(40, 7, replace=False), one.choice(40, 7, replace=False))
+            assert np.array_equal(rng.permutation(40), one.permutation(40))
+            assert np.array_equal(rng.standard_normal(5), one.standard_normal(5))
+        assert b == 49
+
+    def test_a_half_used_word_does_not_leak_into_the_next_index(self):
+        # an odd count of 32-bit draws leaves half a 64-bit word buffered
+        for b, rng in enumerate(substreams(3, 10)):
+            one = substream(3, b)
+            draws = rng.integers(0, 1000, 3, dtype=np.uint32)
+            assert np.array_equal(draws, one.integers(0, 1000, 3, dtype=np.uint32))
+            assert np.array_equal(rng.integers(0, 2**32, 1, dtype=np.uint64),
+                                  one.integers(0, 2**32, 1, dtype=np.uint64))
 
 
 class TestDrawPlacebo:
