@@ -92,6 +92,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    # eventyield.report and its siblings resolve without an import of their own
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     module = _SOURCE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -101,4 +104,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_SOURCE})
+    return sorted({*globals(), *_EXPORTS, *_SOURCE})

@@ -71,6 +71,7 @@ def test_every_exported_name_resolves_to_its_submodule():
     assert sorted(eventyield.__all__) == sorted(names)
     for module, names in EXPORTED.items():
         source = importlib.import_module(f"eventyield.{module}")
+        assert getattr(eventyield, module) is source
         for name in names:
             assert getattr(eventyield, name) is getattr(source, name), name
             assert name in dir(eventyield)
